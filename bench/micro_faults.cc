@@ -155,8 +155,7 @@ BENCHMARK(BM_PipelineFailoverRecovery)->Name("xdb_pipeline/failover_recovery")
 void PrintScenarioRow(const char* label, const XdbReport& r) {
   std::printf("%-24s %10.3f %12.0f %10s %5.0f%% lost=%zu retries=%zu\n",
               label, r.phases.total(), r.trace.TotalTransferredBytes(),
-              r.trace.recovery_action.empty() ? "none"
-                                              : r.trace.recovery_action.c_str(),
+              RecoveryActionToString(r.trace.recovery_action),
               r.completeness.completeness_fraction * 100.0,
               r.completeness.lost.size(), r.trace.retries.size());
 }

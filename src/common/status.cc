@@ -41,6 +41,14 @@ std::string Status::ToString() const {
 Status Status::WithContext(const std::string& context) const {
   if (ok()) return *this;
   Status st(code(), context + ": " + message());
+  st.state_->site = state_->site;
+  return st;
+}
+
+Status Status::WithSite(FailureSite site) const {
+  if (ok()) return *this;
+  Status st(code(), message());
+  st.state_->site = std::move(site);
   return st;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -27,6 +28,27 @@ enum class StatusCode : int {
 
 /// \brief Returns a stable, human-readable name for a status code.
 const char* StatusCodeToString(StatusCode code);
+
+/// \brief The federation's interaction points: DDL deployment and query
+/// triggering through a connector, and server-to-server fetches / data
+/// transfers on the simulated network.
+enum class FaultOp { kDdl, kQuery, kFetch, kTransfer };
+
+/// \brief Where a failure struck: the server (for fetches and transfers,
+/// the producer, with the consumer as `peer`), the operation, and whether
+/// the link itself dropped. Set by the fault site; failover and health
+/// attribution read it instead of parsing error text.
+struct FailureSite {
+  std::string server;
+  std::string peer;
+  FaultOp op = FaultOp::kDdl;
+  bool link_drop = false;
+
+  /// A foreign fetch failed: its retry loop already charged the producer.
+  bool on_fetch_path() const {
+    return op == FaultOp::kFetch || op == FaultOp::kTransfer;
+  }
+};
 
 /// \brief Operation outcome: OK or (code, message).
 ///
@@ -79,12 +101,6 @@ class Status {
   bool IsParseError() const { return code() == StatusCode::kParseError; }
   bool IsBindError() const { return code() == StatusCode::kBindError; }
   bool IsCatalogError() const { return code() == StatusCode::kCatalogError; }
-  bool IsExecutionError() const {
-    return code() == StatusCode::kExecutionError;
-  }
-  bool IsNotImplemented() const {
-    return code() == StatusCode::kNotImplemented;
-  }
   bool IsUnavailable() const { return code() == StatusCode::kUnavailable; }
   bool IsTimeout() const { return code() == StatusCode::kTimeout; }
 
@@ -99,17 +115,29 @@ class Status {
   /// \brief Renders "OK" or "<Code>: <message>".
   std::string ToString() const;
 
-  /// \brief Returns a copy of this status with extra context prepended.
+  /// \brief Returns a copy of this status with extra context prepended
+  /// (the failure site, if any, is kept).
   Status WithContext(const std::string& context) const;
+
+  /// \brief Returns a copy of this (non-OK) status carrying `site`.
+  Status WithSite(FailureSite site) const;
+
+  /// \brief Where the failure struck; null for OK and for failures no
+  /// fault site stamped (parse, catalog, ...).
+  const FailureSite* site() const {
+    return ok() || !state_->site ? nullptr : &*state_->site;
+  }
 
  private:
   struct State {
     StatusCode code;
     std::string msg;
+    std::optional<FailureSite> site;
   };
 
   Status(StatusCode code, std::string msg)
-      : state_(std::make_shared<State>(State{code, std::move(msg)})) {}
+      : state_(std::make_shared<State>(
+            State{code, std::move(msg), std::nullopt})) {}
 
   std::shared_ptr<State> state_;  // nullptr means OK
 };

@@ -100,4 +100,16 @@ std::string HumanBytes(double bytes) {
   return buf;
 }
 
+std::string CollapseDigitRuns(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  bool in_digits = false;
+  for (char c : s) {
+    const bool digit = c >= '0' && c <= '9';
+    if (!digit || !in_digits) out.push_back(digit ? '*' : c);
+    in_digits = digit;
+  }
+  return out;
+}
+
 }  // namespace xdb

@@ -34,4 +34,8 @@ bool LikeMatch(std::string_view value, std::string_view pattern);
 /// \brief Renders a byte count as a human-readable string (e.g. "1.5 MB").
 std::string HumanBytes(double bytes);
 
+/// \brief Replaces every run of ASCII digits with one '*' ("xdb_q12_t4" ->
+/// "xdb_q*_t*"), so per-query names and literals share one bounded label.
+std::string CollapseDigitRuns(std::string_view s);
+
 }  // namespace xdb

@@ -25,7 +25,6 @@ class DbmsConnector {
         fed_(fed),
         middleware_node_(std::move(middleware_node)) {}
 
-  const std::string& server_name() const { return server_->name(); }
   const Dialect& dialect() const { return dialect_; }
   DatabaseServer* server() const { return server_; }
   const EngineProfile& profile() const { return server_->profile(); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/str_util.h"
 #include "src/dbms/server.h"
 
 namespace xdb {
@@ -80,10 +81,14 @@ RunTrace Federation::FinishRun() {
     ea.q_error = QError(t.est_rows, t.rows);
     if (metrics_ != nullptr) {
       m_.qerror->Observe(ea.q_error);
-      QErrorHistogram(ea.op, ea.server)->Observe(ea.q_error);
+      metrics_
+          ->GetHistogram("xdb_qerror", {{"op", ea.op}, {"server", ea.server}},
+                         {})
+          ->Observe(ea.q_error);
       double berr = QError(ea.est_bytes, ea.act_bytes);
       m_.bytes_error->Observe(berr);
-      BytesErrorHistogram(ea.server)->Observe(berr);
+      metrics_->GetHistogram("xdb_bytes_error", {{"link", ea.server}}, {})
+          ->Observe(berr);
     }
     rs.run.estimates.push_back(std::move(ea));
   }
@@ -100,137 +105,22 @@ RunTrace Federation::FinishRun() {
     m_.backoff_seconds->Increment(rs.run.total_backoff_seconds);
     m_.injected_delay_seconds->Increment(rs.run.injected_delay_seconds);
     for (const auto& t : rs.run.transfers) {
+      const std::string link = t.src + "->" + t.dst;
+      const char* family = t.failed ? "xdb_federation_wasted_bytes_total"
+                                    : "xdb_federation_useful_bytes_total";
       m_.transfer_bytes->Observe(t.bytes);
-      LinkHistogram(t.src + "->" + t.dst)->Observe(t.bytes);
-      if (t.failed) {
-        ServerCell(&m_.wasted_by_server, "xdb_federation_wasted_bytes_total",
-                   t.src)
-            ->Increment(t.bytes);
-        LinkCell(&m_.wasted_by_link, "xdb_federation_wasted_bytes_total",
-                 t.src, t.dst)
-            ->Increment(t.bytes);
-      } else {
-        ServerCell(&m_.useful_by_server, "xdb_federation_useful_bytes_total",
-                   t.src)
-            ->Increment(t.bytes);
-        LinkCell(&m_.useful_by_link, "xdb_federation_useful_bytes_total",
-                 t.src, t.dst)
-            ->Increment(t.bytes);
-      }
+      metrics_->GetHistogram("xdb_federation_transfer_bytes",
+                             {{"link", link}}, {})
+          ->Observe(t.bytes);
+      metrics_->GetCounter(family, {{"server", t.src}})->Increment(t.bytes);
+      metrics_->GetCounter(family, {{"link", link}})->Increment(t.bytes);
     }
   }
   return std::move(rs.run);
 }
 
-bool Federation::run_active() const { return ActiveHere(ThreadRun()); }
-
 int Federation::control_messages() const {
   return ThreadRun().control_messages;
-}
-
-Counter* Federation::ServerCell(std::map<std::string, Counter*>* cache,
-                                const char* name,
-                                const std::string& server) {
-  std::lock_guard<std::mutex> lock(metrics_mu_);
-  auto it = cache->find(server);
-  if (it == cache->end()) {
-    it = cache->emplace(server,
-                        metrics_->GetCounter(name, {{"server", server}}))
-             .first;
-  }
-  return it->second;
-}
-
-Counter* Federation::LinkCell(std::map<std::string, Counter*>* cache,
-                              const char* name, const std::string& src,
-                              const std::string& dst) {
-  std::string link = src + "->" + dst;
-  std::lock_guard<std::mutex> lock(metrics_mu_);
-  auto it = cache->find(link);
-  if (it == cache->end()) {
-    it = cache->emplace(link, metrics_->GetCounter(name, {{"link", link}}))
-             .first;
-  }
-  return it->second;
-}
-
-Histogram* Federation::LinkHistogram(const std::string& link) {
-  std::lock_guard<std::mutex> lock(metrics_mu_);
-  auto it = m_.transfer_bytes_by_link.find(link);
-  if (it == m_.transfer_bytes_by_link.end()) {
-    it = m_.transfer_bytes_by_link
-             .emplace(link, metrics_->GetHistogram(
-                                "xdb_federation_transfer_bytes",
-                                {{"link", link}}, {}))
-             .first;
-  }
-  return it->second;
-}
-
-Histogram* Federation::QErrorHistogram(const std::string& op,
-                                       const std::string& server) {
-  std::string key = op + "|" + server;
-  std::lock_guard<std::mutex> lock(metrics_mu_);
-  auto it = m_.qerror_by_cell.find(key);
-  if (it == m_.qerror_by_cell.end()) {
-    it = m_.qerror_by_cell
-             .emplace(key, metrics_->GetHistogram(
-                               "xdb_qerror",
-                               {{"op", op}, {"server", server}}, {}))
-             .first;
-  }
-  return it->second;
-}
-
-Histogram* Federation::BytesErrorHistogram(const std::string& link) {
-  std::lock_guard<std::mutex> lock(metrics_mu_);
-  auto it = m_.bytes_error_by_link.find(link);
-  if (it == m_.bytes_error_by_link.end()) {
-    it = m_.bytes_error_by_link
-             .emplace(link, metrics_->GetHistogram("xdb_bytes_error",
-                                                   {{"link", link}}, {}))
-             .first;
-  }
-  return it->second;
-}
-
-namespace {
-/// Collapses every digit run to '*' so per-query deployed-view names
-/// (xdb_q12_t4, xdb_q12_t7, ...) share one label cell: the gauge tracks
-/// compression per relation *shape*, keeping label cardinality bounded by
-/// the schema rather than by query count.
-std::string NormalizeRelationLabel(const std::string& relation) {
-  std::string out;
-  out.reserve(relation.size());
-  bool in_digits = false;
-  for (char c : relation) {
-    if (c >= '0' && c <= '9') {
-      if (!in_digits) out.push_back('*');
-      in_digits = true;
-    } else {
-      out.push_back(c);
-      in_digits = false;
-    }
-  }
-  return out;
-}
-}  // namespace
-
-Gauge* Federation::CompressionGauge(const std::string& relation) {
-  std::string label = NormalizeRelationLabel(relation);
-  std::lock_guard<std::mutex> lock(metrics_mu_);
-  auto it = m_.compression_by_relation.find(label);
-  if (it == m_.compression_by_relation.end()) {
-    it = m_.compression_by_relation
-             .emplace(label,
-                      metrics_->GetGauge(
-                          "xdb_transfer_compression_ratio",
-                          {{"relation", label}},
-                          "Raw/encoded byte ratio of the latest columnar "
-                          "transfer of this relation shape"))
-             .first;
-  }
-  return it->second;
 }
 
 ComputeTrace* Federation::CurrentTrace() {
@@ -269,7 +159,7 @@ int Federation::PushFetch(const std::string& src, const std::string& dst,
   }
   if (metrics_ != nullptr) {
     m_.fetches->Increment();
-    ServerCell(&m_.fetches_by_server, "xdb_federation_fetches_total", src)
+    metrics_->GetCounter("xdb_federation_fetches_total", {{"server", src}})
         ->Increment();
   }
   rs.stack.push_back({rec.id, span_id, ComputeTrace{}});
@@ -316,11 +206,18 @@ void Federation::PopFetch(int id, double rows, double bytes,
   rec.producer_compute = frame.trace;
   rs.run.per_server[rec.src].Add(frame.trace);
   if (metrics_ != nullptr) {
-    ServerCell(&m_.fetch_rows_by_server, "xdb_federation_fetch_rows_total",
-               rec.src)
+    metrics_->GetCounter("xdb_federation_fetch_rows_total",
+                         {{"server", rec.src}})
         ->Increment(rows);
     if (rec.encoded && bytes > 0) {
-      CompressionGauge(rec.relation)->Set(rec.raw_bytes / bytes);
+      // Per relation *shape* (xdb_q12_t4 -> xdb_q*_t*): label cardinality
+      // stays bounded by the schema rather than by query count.
+      metrics_
+          ->GetGauge("xdb_transfer_compression_ratio",
+                     {{"relation", CollapseDigitRuns(rec.relation)}},
+                     "Raw/encoded byte ratio of the latest columnar "
+                     "transfer of this relation shape")
+          ->Set(rec.raw_bytes / bytes);
     }
   }
 }
@@ -328,15 +225,16 @@ void Federation::PopFetch(int id, double rows, double bytes,
 Status Federation::InjectFault(const std::string& server, FaultOp op,
                                const std::string& peer) {
   if (injector_ == nullptr) return Status::OK();
-  Status st = injector_->OnOperation(server, op, peer);
-  double delay = injector_->TakeInjectedDelay();
+  double delay = 0;
+  Status st = injector_->OnOperation(server, op, peer, &delay);
   if (delay > 0) ChargeBudget(delay);
   RunState& rs = ThreadRun();
   if (ActiveHere(rs) && delay > 0) rs.run.injected_delay_seconds += delay;
   if (!st.ok() && metrics_ != nullptr) {
     m_.faults_injected->Increment();
-    ServerCell(&m_.faults_by_server, "xdb_federation_faults_injected_total",
-               server)
+    metrics_
+        ->GetCounter("xdb_federation_faults_injected_total",
+                     {{"server", server}})
         ->Increment();
   }
   return st;
@@ -356,38 +254,28 @@ void Federation::RecordRetry(RetryEvent event) {
   }
   if (metrics_ != nullptr && event.attempts > 1) {
     m_.retries->Increment(event.attempts - 1);
-    ServerCell(&m_.retries_by_server, "xdb_federation_retries_total",
-               event.server)
+    metrics_
+        ->GetCounter("xdb_federation_retries_total",
+                     {{"server", event.server}})
         ->Increment(event.attempts - 1);
   }
   ChargeBudget(event.backoff_seconds);
   RunState& rs = ThreadRun();
   if (!ActiveHere(rs)) return;
   rs.run.total_backoff_seconds += event.backoff_seconds;
-  if (event.attempts > 1 && event.succeeded) NoteRecovery("retried");
+  if (event.attempts > 1 && event.succeeded) {
+    NoteRecovery(RecoveryAction::kRetried);
+  }
   rs.run.retries.push_back(std::move(event));
 }
 
-namespace {
-int RecoveryRank(const std::string& action) {
-  if (action == "retried") return 1;
-  if (action == "rolled-back") return 2;
-  if (action == "replanned") return 3;
-  if (action == "degraded") return 4;
-  if (action == "failed") return 5;
-  return 0;  // "none" / unknown
-}
-}  // namespace
-
-void Federation::NoteRecovery(const std::string& action) {
-  if (metrics_ != nullptr && action == "rolled-back") {
+void Federation::NoteRecovery(RecoveryAction action) {
+  if (metrics_ != nullptr && action == RecoveryAction::kRolledBack) {
     m_.rollbacks->Increment();
   }
   RunState& rs = ThreadRun();
   if (!ActiveHere(rs)) return;
-  if (RecoveryRank(action) > RecoveryRank(rs.run.recovery_action)) {
-    rs.run.recovery_action = action;
-  }
+  rs.run.recovery_action = std::max(rs.run.recovery_action, action);
 }
 
 void Federation::MarkTransferFailed(int id) {
@@ -404,7 +292,10 @@ void Federation::RecordEstimate(EstimateActual record) {
   record.q_error = QError(record.est_rows, record.act_rows);
   if (metrics_ != nullptr) {
     m_.qerror->Observe(record.q_error);
-    QErrorHistogram(record.op, record.server)->Observe(record.q_error);
+    metrics_
+        ->GetHistogram("xdb_qerror",
+                       {{"op", record.op}, {"server", record.server}}, {})
+        ->Observe(record.q_error);
   }
   RunState& rs = ThreadRun();
   if (!ActiveHere(rs)) return;
@@ -419,11 +310,9 @@ void Federation::RecordControlMessage(const std::string& a,
 }
 
 void Federation::SetMetricsRegistry(MetricsRegistry* registry) {
-  std::lock_guard<std::mutex> lock(metrics_mu_);
   metrics_ = registry;
   network_.set_metrics(registry);
-  // Drop every cached handle (including the lazily-built labeled cells):
-  // they point into the previous registry.
+  // Drop every cached handle: they point into the previous registry.
   m_ = FedMetrics{};
   if (registry == nullptr) return;
   m_.fetches = registry->GetCounter(
@@ -473,7 +362,7 @@ void Federation::CountReplanRounds(int rounds) {
 void Federation::CountDdl(const std::string& server) {
   if (metrics_ == nullptr) return;
   m_.ddl->Increment();
-  ServerCell(&m_.ddl_by_server, "xdb_delegation_ddl_total", server)
+  metrics_->GetCounter("xdb_delegation_ddl_total", {{"server", server}})
       ->Increment();
 }
 
@@ -538,25 +427,13 @@ bool Federation::PartialAllowed() const {
 
 void Federation::RecordLostFragment(FragmentLoss loss) {
   if (metrics_ != nullptr) {
-    Counter* cell = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      auto it = m_.partials_by_reason.find(loss.reason);
-      if (it == m_.partials_by_reason.end()) {
-        it = m_.partials_by_reason
-                 .emplace(loss.reason,
-                          metrics_->GetCounter(
-                              "xdb_partial_results_total",
-                              {{"reason", loss.reason}},
-                              "Result fragments abandoned under the "
-                              "partial-results policy"))
-                 .first;
-      }
-      cell = it->second;
-    }
-    cell->Increment();
+    metrics_
+        ->GetCounter("xdb_partial_results_total", {{"reason", loss.reason}},
+                     "Result fragments abandoned under the partial-results "
+                     "policy")
+        ->Increment();
   }
-  NoteRecovery("degraded");
+  NoteRecovery(RecoveryAction::kDegraded);
   RunState& rs = ThreadRun();
   if (!ActiveHere(rs)) return;
   rs.run.lost_fragments.push_back(std::move(loss));

@@ -3,7 +3,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -48,8 +47,8 @@ enum class WireFormat : uint8_t {
 /// called on the thread that executes the query, which the single-threaded
 /// query systems already guarantee). Topology mutation (AddServer/SetNetwork)
 /// and observability attachment (SetSpanRecorder/SetMetricsRegistry/...) are
-/// setup-time only; the lazily-memoized labeled metric cells are mutex-
-/// guarded so concurrent runs may flush them safely.
+/// setup-time only; labeled metric cells come straight from the registry,
+/// which guards its own lookups, so concurrent runs may flush them safely.
 class Federation {
  public:
   Federation();
@@ -137,8 +136,9 @@ class Federation {
   FaultInjector* fault_injector() const { return injector_; }
 
   /// Consults the injector for an operation on `server` (peer = other link
-  /// endpoint for fetches/transfers). OK when no injector is attached.
-  /// Modelled delay charged by fired faults lands on the active run.
+  /// endpoint for fetches/transfers). OK when no injector is attached; a
+  /// fired fault's status carries its FailureSite. The modelled delay the
+  /// fault charges lands on the calling thread's run and budget.
   Status InjectFault(const std::string& server, FaultOp op,
                      const std::string& peer = std::string());
 
@@ -150,10 +150,8 @@ class Federation {
   /// Appends a retry event to the active run (dropped when none).
   void RecordRetry(RetryEvent event);
 
-  /// Raises the active run's recovery action if `action` outranks it
-  /// ("none" < "retried" < "rolled-back" < "replanned" < "degraded" <
-  /// "failed").
-  void NoteRecovery(const std::string& action);
+  /// Raises the active run's recovery action if `action` outranks it.
+  void NoteRecovery(RecoveryAction action);
 
   /// Marks a closed transfer record as failed (link dropped mid-transfer).
   void MarkTransferFailed(int id);
@@ -211,9 +209,6 @@ class Federation {
 
   /// Ends recording and returns everything observed on the calling thread.
   RunTrace FinishRun();
-
-  /// Whether the calling thread has an active run on this federation.
-  bool run_active() const;
 
   /// The compute-trace frame rows should currently be attributed to.
   ComputeTrace* CurrentTrace();
@@ -288,12 +283,9 @@ class Federation {
   };
   static BudgetState& ThreadBudget();
 
-  /// Cached metric handles (resolved once at SetMetricsRegistry; hot paths
-  /// then increment lock-free). The labeled per-server / per-link cells are
-  /// resolved lazily on first use and memoized here — label cardinality is
-  /// bounded by the topology, so the caches are small and stable. The maps
-  /// are guarded by metrics_mu_ (concurrent runs resolve cells in parallel);
-  /// the cells themselves are atomic.
+  /// Unlabeled metric handles, registered eagerly at SetMetricsRegistry so
+  /// every family shows in the exposition even before its first event.
+  /// Labeled cells are looked up in the registry per event.
   struct FedMetrics {
     Counter* fetches = nullptr;
     Counter* fetch_rows = nullptr;
@@ -309,48 +301,7 @@ class Federation {
     Histogram* transfer_bytes = nullptr;
     Histogram* qerror = nullptr;       // cardinality q-error, all operators
     Histogram* bytes_error = nullptr;  // transfer byte-volume q-error
-
-    std::map<std::string, Counter*> fetches_by_server;
-    std::map<std::string, Counter*> fetch_rows_by_server;
-    std::map<std::string, Counter*> useful_by_server;
-    std::map<std::string, Counter*> wasted_by_server;
-    std::map<std::string, Counter*> retries_by_server;
-    std::map<std::string, Counter*> faults_by_server;
-    std::map<std::string, Counter*> ddl_by_server;
-    std::map<std::string, Counter*> useful_by_link;
-    std::map<std::string, Counter*> wasted_by_link;
-    std::map<std::string, Histogram*> transfer_bytes_by_link;
-    // Estimate-accountability cells: q-error keyed by "op|server", byte
-    // error keyed by link. Cardinality is bounded by operator kinds times
-    // topology size.
-    std::map<std::string, Histogram*> qerror_by_cell;
-    std::map<std::string, Histogram*> bytes_error_by_link;
-    // Per-relation compression-ratio gauges (columnar wire only). Keyed by
-    // the digit-normalized relation name (xdb_q12_t4 -> xdb_q*_t*) so
-    // deployed-view names don't blow up label cardinality.
-    std::map<std::string, Gauge*> compression_by_relation;
-    // Fragments abandoned under the partial-results policy, by reason
-    // ("node-down" | "link-drop" | "deadline" — a tiny fixed set).
-    std::map<std::string, Counter*> partials_by_reason;
   };
-
-  /// Memoized `{server=...}` cell of counter family `name`.
-  Counter* ServerCell(std::map<std::string, Counter*>* cache,
-                      const char* name, const std::string& server);
-  /// Memoized `{link="src->dst"}` cell of counter family `name`.
-  Counter* LinkCell(std::map<std::string, Counter*>* cache, const char* name,
-                    const std::string& src, const std::string& dst);
-  /// Memoized `{link=...}` cell of the transfer-bytes histogram.
-  Histogram* LinkHistogram(const std::string& link);
-
-  /// Memoized `{op=,server=}` cell of the xdb_qerror histogram.
-  Histogram* QErrorHistogram(const std::string& op,
-                             const std::string& server);
-  /// Memoized `{link=...}` cell of the xdb_bytes_error histogram.
-  Histogram* BytesErrorHistogram(const std::string& link);
-
-  /// Memoized `{relation=...}` gauge of the compression-ratio family.
-  Gauge* CompressionGauge(const std::string& relation);
 
   std::map<std::string, std::unique_ptr<DatabaseServer>> servers_;
   Network network_;
@@ -361,7 +312,6 @@ class Federation {
   MetricsRegistry* metrics_ = nullptr;
   QueryLog* query_log_ = nullptr;
   FedMetrics m_;
-  mutable std::mutex metrics_mu_;  // guards m_'s memoized label-cell maps
   RetryPolicy retry_policy_;
 };
 

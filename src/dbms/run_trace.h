@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exec/executor.h"
@@ -105,6 +106,36 @@ struct ResultCompleteness {
   std::vector<FragmentLoss> lost;
 };
 
+/// \brief The most significant recovery action a query took. Enumerators
+/// are in rank order: a later one outranks every earlier one.
+enum class RecoveryAction {
+  kNone,
+  kRetried,
+  kRolledBack,
+  kReplanned,
+  kDegraded,
+  kFailed,
+};
+
+/// "none" | "retried" | "rolled-back" | "replanned" | "degraded" | "failed".
+inline const char* RecoveryActionToString(RecoveryAction action) {
+  switch (action) {
+    case RecoveryAction::kNone:
+      return "none";
+    case RecoveryAction::kRetried:
+      return "retried";
+    case RecoveryAction::kRolledBack:
+      return "rolled-back";
+    case RecoveryAction::kReplanned:
+      return "replanned";
+    case RecoveryAction::kDegraded:
+      return "degraded";
+    case RecoveryAction::kFailed:
+      return "failed";
+  }
+  return "unknown";
+}
+
 /// \brief Everything observed while executing one top-level query across
 /// the federation: the root's compute plus the tree of transfers, and —
 /// when faults struck — the recovery trail (retries, rollbacks, replans).
@@ -126,9 +157,10 @@ struct RunTrace {
   /// Fragments abandoned under the partial-results policy (empty unless
   /// the query ran with allow_partial and lost a subtree).
   std::vector<FragmentLoss> lost_fragments;
-  /// Most significant recovery action taken: "none" < "retried" <
-  /// "rolled-back" < "replanned" < "degraded" < "failed".
-  std::string recovery_action = "none";
+  RecoveryAction recovery_action = RecoveryAction::kNone;
+  /// (server, relation) pairs the post-query cleanup could not drop: the
+  /// query still returned its result, but these stay deployed.
+  std::vector<std::pair<std::string, std::string>> leaked_relations;
 
   /// Estimate-vs-actual ledger for the winning round: transfer records are
   /// always present when plans were stamped; per-operator records appear

@@ -236,8 +236,12 @@ Result<TablePtr> DatabaseServer::Context::ForeignFetch(
         return std::make_shared<Table>(*schema);
       }
     }
-    return st.WithContext("foreign fetch of " + server + "." + relation +
-                          " by " + server_->name_);
+    // The producer's health was charged above; the fetch site tells the
+    // callers up the stack not to blame themselves as well.
+    Status failed = st.WithContext("foreign fetch of " + server + "." +
+                                   relation + " by " + server_->name_);
+    if (st.site() != nullptr) return failed;
+    return failed.WithSite({server, server_->name_, FaultOp::kFetch, false});
   }
   return table;
 }

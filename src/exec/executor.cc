@@ -26,12 +26,6 @@ void ComputeTrace::Add(const ComputeTrace& other) {
   output_rows += other.output_rows;
 }
 
-double ComputeTrace::TotalRows() const {
-  return scan_rows + foreign_rows + filter_input_rows + project_rows +
-         join_build_rows + join_probe_rows + join_output_rows +
-         agg_input_rows + agg_output_rows + sort_rows + materialized_rows;
-}
-
 namespace {
 
 // Morsel granules. Fixed constants — never derived from the worker count —

@@ -30,9 +30,6 @@ struct ComputeTrace {
   double output_rows = 0;        // final result rows
 
   void Add(const ComputeTrace& other);
-
-  /// Total of all row counters; a coarse work measure used in tests.
-  double TotalRows() const;
 };
 
 /// \brief Services a plan needs at execution time.

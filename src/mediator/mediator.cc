@@ -1,12 +1,5 @@
 #include "src/mediator/mediator.h"
 
-#include <chrono>
-#include <optional>
-
-#include "src/sql/parser.h"
-#include "src/xdb/delegation_engine.h"
-#include "src/xdb/finalizer.h"
-
 namespace xdb {
 
 const char* MediatorKindToString(MediatorKind kind) {
@@ -21,27 +14,18 @@ const char* MediatorKindToString(MediatorKind kind) {
   return "unknown";
 }
 
-namespace {
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
-
 MediatorSystem::MediatorSystem(Federation* fed, MediatorKind kind,
                                MediatorOptions options)
-    : fed_(fed), kind_(kind), options_(std::move(options)) {
-  mediator_name_ = options_.mediator_node.empty()
-                       ? MediatorKindToString(kind)
-                       : options_.mediator_node;
+    : kind_(kind) {
+  mediator_name_ = options.mediator_node.empty() ? MediatorKindToString(kind)
+                                                 : options.mediator_node;
   EngineProfile profile;
   switch (kind) {
     case MediatorKind::kGarlic:
       profile = EngineProfile::GarlicMediator();
       break;
     case MediatorKind::kPresto:
-      profile = EngineProfile::PrestoMediator(options_.presto_workers);
+      profile = EngineProfile::PrestoMediator(options.presto_workers);
       break;
     case MediatorKind::kSclera:
       profile = EngineProfile::ScleraMediator();
@@ -49,30 +33,55 @@ MediatorSystem::MediatorSystem(Federation* fed, MediatorKind kind,
   }
   // Component connectors first (before the mediator node joins the
   // federation, so it is not part of the global schema).
-  for (const auto& name : fed_->ServerNames()) {
-    DatabaseServer* server = fed_->GetServer(name);
-    if (options_.exec_threads > 0) {
-      server->set_exec_threads(options_.exec_threads);
+  for (const auto& name : fed->ServerNames()) {
+    DatabaseServer* server = fed->GetServer(name);
+    if (options.exec_threads > 0) {
+      server->set_exec_threads(options.exec_threads);
     }
     auto dc = std::make_unique<DbmsConnector>(server, Dialect::Postgres(),
-                                              fed_, mediator_name_);
+                                              fed, mediator_name_);
     connector_ptrs_[name] = dc.get();
     connectors_[name] = std::move(dc);
   }
   catalog_ = std::make_unique<GlobalCatalog>(connector_ptrs_);
 
-  mediator_ = fed_->GetServer(mediator_name_);
-  if (mediator_ == nullptr) {
-    mediator_ = fed_->AddServer(mediator_name_, profile);
-  }
-  if (options_.exec_threads > 0) {
-    mediator_->set_exec_threads(options_.exec_threads);
+  DatabaseServer* mediator = fed->GetServer(mediator_name_);
+  if (mediator == nullptr) mediator = fed->AddServer(mediator_name_, profile);
+  if (options.exec_threads > 0) {
+    mediator->set_exec_threads(options.exec_threads);
   }
   // The mediator issues DDL to itself with zero-latency "round trips".
-  auto self = std::make_unique<DbmsConnector>(mediator_, Dialect::Postgres(),
-                                              fed_, mediator_name_);
+  auto self = std::make_unique<DbmsConnector>(mediator, Dialect::Postgres(),
+                                              fed, mediator_name_);
   connector_ptrs_[mediator_name_] = self.get();
   connectors_[mediator_name_] = std::move(self);
+
+  // XDB's pipeline with the MW architecture's fixed differences: placement
+  // never adapts (no breakers, no failover rounds), metadata is billed
+  // without link RTTs, the mediator is the client (no result hop), and
+  // "actual execution" is mediator-local compute, as the paper measures it.
+  SystemSpec spec;
+  spec.system = MediatorKindToString(kind);
+  spec.span_name = "mediator query";
+  spec.ddl_prefix = mediator_name_;
+  spec.options.scale_up = options.scale_up;
+  spec.options.middleware_node = mediator_name_;
+  spec.options.cleanup_after_query = options.cleanup_after_query;
+  spec.options.max_failover_alternates = 0;
+  // Garlic and ScleraDB decompose by source first (maximal single-DBMS
+  // subqueries); Presto's connectors cannot push joins down at all, so its
+  // plan follows the global order.
+  spec.options.planner.colocate_joins_first = kind != MediatorKind::kPresto;
+  spec.consult_breakers = false;
+  spec.bill_metadata_rtt = false;
+  spec.ship_result = false;
+  spec.localized_compute = true;
+  // MW systems plan centrally — no consulting.
+  spec.place = [this](PlanNode* plan, const PlacementConstraints*, int*) {
+    return AnnotateMw(plan);
+  };
+  pipeline_ = std::make_unique<QueryPipeline>(fed, std::move(spec),
+                                              connector_ptrs_, catalog_.get());
 }
 
 /// MW placement policy: scans stay put, unary operators follow their input,
@@ -140,203 +149,12 @@ Status MediatorSystem::AnnotateMw(PlanNode* node) const {
 }
 
 Result<XdbReport> MediatorSystem::Query(const std::string& sql) {
-  Result<XdbReport> result = QueryImpl(sql);
-  RecordQueryStats(sql, result);
-  return result;
+  return Query(sql, QueryContext{});
 }
 
-void MediatorSystem::RecordQueryStats(const std::string& sql,
-                                      const Result<XdbReport>& result) {
-  QueryLog* qlog = fed_->query_log();
-  MetricsRegistry* metrics = fed_->metrics();
-  if (qlog == nullptr && metrics == nullptr) return;
-
-  QueryStats qs;
-  qs.system = MediatorKindToString(kind_);
-  qs.sql = sql;
-  qs.ok = result.ok();
-  if (result.ok()) {
-    const XdbReport& rep = *result;
-    qs.prep_seconds = rep.phases.prep;
-    qs.lopt_seconds = rep.phases.lopt;
-    qs.ann_seconds = rep.phases.ann;
-    qs.exec_seconds = rep.phases.exec;
-    qs.useful_bytes = rep.trace.UsefulTransferredBytes();
-    qs.wasted_bytes = rep.trace.WastedTransferredBytes();
-    qs.raw_bytes = rep.trace.TotalRawTransferredBytes();
-    qs.transfer_rows = rep.trace.TotalTransferredRows();
-    qs.transfers = static_cast<int>(rep.trace.transfers.size());
-    qs.retries = static_cast<int>(rep.trace.retries.size());
-    qs.recovery_action = rep.trace.recovery_action;
-    qs.partial = !rep.completeness.complete;
-    qs.completeness_fraction = rep.completeness.completeness_fraction;
-    qs.lost_fragments = static_cast<int>(rep.trace.lost_fragments.size());
-    TimingModel model(fed_, TimingOptions{options_.scale_up});
-    for (const auto& [srv, compute] : rep.trace.per_server) {
-      const DatabaseServer* server = fed_->GetServer(srv);
-      if (server == nullptr) continue;
-      qs.per_server_seconds[srv] =
-          model.ComputeSeconds(compute, server->profile(),
-                               /*free_network=*/false);
-    }
-  } else {
-    qs.error = result.status().message();
-  }
-
-  if (metrics != nullptr) {
-    std::string label =
-        qlog != nullptr && !qlog->next_label().empty() ? qlog->next_label()
-                                                       : "adhoc";
-    metrics
-        ->GetCounter("xdb_queries_total",
-                     {{"status", qs.ok ? "ok" : "error"}},
-                     "Top-level queries by final status")
-        ->Increment();
-    metrics
-        ->GetCounter("xdb_query_modelled_seconds_total", {{"query", label}},
-                     "Modelled end-to-end seconds per query label")
-        ->Increment(qs.total_seconds());
-  }
-  if (qlog != nullptr) qlog->Record(std::move(qs));
-}
-
-Result<XdbReport> MediatorSystem::QueryImpl(const std::string& sql) {
-  XdbReport report;
-  const double wall_start = NowSeconds();
-  const int query_id = ++query_counter_;
-
-  // Mediators share the deadline budget and partial-results machinery with
-  // XDB (same retry and fetch paths under the hood) but have no failover:
-  // an undeliverable fragment either degrades (allow_partial) or fails the
-  // query outright.
-  fed_->ArmQueryBudget(options_.deadline_seconds, options_.allow_partial);
-  struct DisarmBudget {
-    Federation* fed;
-    ~DisarmBudget() { fed->DisarmQueryBudget(); }
-  } disarm_budget{fed_};
-
-  SpanRecorder* spans = fed_->span_recorder();
-  struct FinalizeSpans {
-    SpanRecorder* r;
-    ~FinalizeSpans() {
-      if (r != nullptr) r->FinalizeTimeline();
-    }
-  } finalize_spans{spans};
-  SpanGuard query_span(spans, "mediator query " + std::to_string(query_id));
-  if (Span* sp = query_span.span()) {
-    sp->Tag("mediator", MediatorKindToString(kind_));
-    sp->Tag("sql", sql);
-  }
-  // Span *id* window, not an index: under ring-buffer retention ids are
-  // stable while positions shift.
-  const int64_t span_begin = spans != nullptr ? spans->next_id() : 0;
-
-  catalog_->ResetCounters();
-
-  XDB_ASSIGN_OR_RETURN(sql::SelectPtr stmt, sql::ParseSelect(sql));
-  for (const auto& ref : stmt->from) {
-    XDB_RETURN_NOT_OK(catalog_->Resolve(ref.db, ref.table).status());
-  }
-  report.metadata_roundtrips = catalog_->metadata_roundtrips();
-  report.phases.prep = 0.05 + 0.02 * report.metadata_roundtrips;
-
-  PlannerOptions popts;
-  // Garlic and ScleraDB decompose by source first (maximal single-DBMS
-  // subqueries); Presto's connectors cannot push joins down at all, so its
-  // plan follows the global order.
-  popts.colocate_joins_first = kind_ != MediatorKind::kPresto;
-  Planner planner(catalog_.get(), popts);
-  XDB_ASSIGN_OR_RETURN(PlanPtr plan, planner.Plan(*stmt));
-  report.phases.lopt =
-      0.1 + 0.05 * static_cast<double>(
-                       stmt->from.size() > 0 ? stmt->from.size() - 1 : 0);
-
-  XDB_RETURN_NOT_OK(AnnotateMw(plan.get()));
-  report.phases.ann = 0;  // MW systems plan centrally — no consulting
-
-  fed_->ChargeBudget(report.phases.prep + report.phases.lopt);
-  if (fed_->RemainingBudget() == 0.0) {
-    return Status::Timeout("query deadline (" +
-                           std::to_string(options_.deadline_seconds) +
-                           "s of modelled time) exhausted during planning");
-  }
-
-  XDB_ASSIGN_OR_RETURN(DelegationPlan dplan,
-                       FinalizePlan(*plan, query_id, mediator_name_));
-
-  // Mediator baselines get the same retry/rollback machinery (so injected
-  // faults degrade them comparably) but no failover replanning — their
-  // placement policy is fixed by design.
-  DelegationEngine engine(connector_ptrs_, fed_);
-  fed_->BeginRun(dplan.tasks.back().server);
-  Result<XdbQuery> query = engine.Deploy(&dplan);
-  if (!query.ok()) {
-    fed_->FinishRun();
-    (void)engine.Cleanup();
-    return query.status();
-  }
-  DbmsConnector* root_dc = connector_ptrs_.at(query->server);
-  std::optional<Result<TablePtr>> exec_result;
-  {
-    SpanGuard exec_span(spans, "execute");
-    if (Span* sp = exec_span.span()) sp->Tag("server", query->server);
-    exec_result.emplace(root_dc->RunQuery(query->sql));
-  }
-  Result<TablePtr>& result = *exec_result;
-  if (!result.ok()) {
-    fed_->FinishRun();
-    (void)engine.Cleanup();
-    return result.status();
-  }
-  report.trace = fed_->FinishRun();
-  report.ddl_statements = engine.ddl_count();
-  report.ddl_log = engine.ddl_log();
-
-  report.completeness.lost = report.trace.lost_fragments;
-  report.completeness.complete = report.trace.lost_fragments.empty();
-  if (!report.completeness.complete) {
-    double delivered = 0;
-    for (const auto& t : report.trace.transfers) {
-      if (!t.failed) delivered += 1;
-    }
-    const double lost =
-        static_cast<double>(report.trace.lost_fragments.size());
-    report.completeness.completeness_fraction = delivered / (delivered + lost);
-  }
-
-  TimingModel model(fed_, TimingOptions{options_.scale_up});
-  report.exec_timing = model.ModelRun(report.trace);
-  if (spans != nullptr) {
-    // Attach modelled wire seconds to this query's transfer spans.
-    for (Span& s : spans->mutable_spans()) {
-      if (s.id < span_begin || s.record_id < 0) continue;
-      size_t idx = static_cast<size_t>(s.record_id);
-      if (idx < report.trace.transfers.size() &&
-          report.trace.transfers[idx].id == s.record_id) {
-        s.duration_seconds =
-            model.TransferSeconds(report.trace.transfers[idx]);
-      }
-    }
-  }
-  // MW systems report "actual execution" the way the paper measures it:
-  // mediator-local compute with subquery results preloaded.
-  report.exec_timing.compute_only = model.LocalizedCompute(report.trace);
-  report.exec_timing.transfer_share =
-      report.exec_timing.total - report.exec_timing.compute_only;
-  report.phases.exec = report.exec_timing.total +
-                       0.02 * static_cast<double>(report.ddl_statements) +
-                       report.trace.total_backoff_seconds +
-                       report.trace.injected_delay_seconds;
-
-  report.result = std::move(result).value();
-  report.plan = std::move(dplan);
-  report.xdb_query = *query;
-
-  if (options_.cleanup_after_query) {
-    XDB_RETURN_NOT_OK(engine.Cleanup());
-  }
-  report.wall_seconds = NowSeconds() - wall_start;
-  return report;
+Result<XdbReport> MediatorSystem::Query(const std::string& sql,
+                                        const QueryContext& ctx) {
+  return pipeline_->Run(sql, ctx);
 }
 
 }  // namespace xdb

@@ -4,10 +4,7 @@
 #include <memory>
 #include <string>
 
-#include "src/connect/connector.h"
-#include "src/timing/timing_model.h"
-#include "src/xdb/delegation_plan.h"
-#include "src/xdb/xdb.h"
+#include "src/xdb/pipeline.h"
 
 namespace xdb {
 
@@ -41,34 +38,38 @@ struct MediatorOptions {
   /// Executor worker budget for the mediator node and every component DBMS:
   /// 0 = hardware concurrency, 1 = legacy serial (see XdbOptions).
   int exec_threads = 0;
-  /// Modelled-time deadline per query (seconds; 0 = none) and opt-in
-  /// partial results, sharing XDB's budget machinery. Mediators have no
-  /// failover, so an undeliverable fragment either degrades under
-  /// allow_partial or fails the query.
-  double deadline_seconds = 0;
-  bool allow_partial = false;
 };
 
 /// \brief A mediator-wrapper federated query system (the paper's Figure 4a
 /// baseline family).
 ///
-/// Deliberately built from the same substrate as XDB — the same parser,
-/// logical optimizer, connectors, and SQL/MED foreign tables — so that the
-/// *only* differences are architectural: where cross-database operators are
-/// placed (always the mediator) and how intermediates move (always through
-/// the mediator). This isolates the paper's claim: the MW architecture
-/// itself, not implementation quality, causes the overhead.
+/// Deliberately runs XDB's own QueryPipeline — the same parser, logical
+/// optimizer, connectors, SQL/MED foreign tables, budget, failure handling
+/// and accounting — so that the *only* differences are architectural: where
+/// cross-database operators are placed (always the mediator, AnnotateMw)
+/// and how intermediates move (always through the mediator), plus fixed
+/// costing values (no failover, no client result hop; see the constructor).
+/// This isolates the paper's claim: the MW architecture itself, not
+/// implementation quality, causes the overhead.
 class MediatorSystem {
  public:
   /// Registers a mediator DBMS node in `fed` (with the kind's engine
   /// profile) and builds connectors for the component DBMSes.
   MediatorSystem(Federation* fed, MediatorKind kind,
                  MediatorOptions options = {});
+  MediatorSystem(const MediatorSystem&) = delete;
+  MediatorSystem& operator=(const MediatorSystem&) = delete;
 
   /// Runs a federated query through the mediator. Like XdbSystem::Query,
   /// banks one QueryStats record (system = the mediator kind) when the
   /// federation has a QueryLog attached.
   Result<XdbReport> Query(const std::string& sql);
+
+  /// Query() under a deadline / partial-results context. Mediators have
+  /// no failover, so an undeliverable fragment either degrades under
+  /// allow_partial or fails the query. Deployed relations are named after
+  /// the mediator node unless `ctx.ddl_prefix` is set.
+  Result<XdbReport> Query(const std::string& sql, const QueryContext& ctx);
 
   const std::string& mediator_name() const { return mediator_name_; }
   MediatorKind kind() const { return kind_; }
@@ -76,19 +77,12 @@ class MediatorSystem {
  private:
   Status AnnotateMw(PlanNode* node) const;
 
-  Result<XdbReport> QueryImpl(const std::string& sql);
-  void RecordQueryStats(const std::string& sql,
-                        const Result<XdbReport>& result);
-
-  Federation* fed_;
   MediatorKind kind_;
-  MediatorOptions options_;
   std::string mediator_name_;
-  DatabaseServer* mediator_ = nullptr;
   std::map<std::string, std::unique_ptr<DbmsConnector>> connectors_;
   std::map<std::string, DbmsConnector*> connector_ptrs_;
   std::unique_ptr<GlobalCatalog> catalog_;
-  int query_counter_ = 0;
+  std::unique_ptr<QueryPipeline> pipeline_;
 };
 
 }  // namespace xdb

@@ -61,8 +61,6 @@ bool Network::IsReachable(const std::string& a, const std::string& b) const {
 void Network::set_metrics(MetricsRegistry* registry) {
   std::lock_guard<std::mutex> lock(*mu_);
   metrics_ = registry;
-  metric_by_link_.clear();
-  metric_encoded_by_link_.clear();
   if (registry == nullptr) {
     metric_bytes_ = nullptr;
     metric_messages_ = nullptr;
@@ -89,31 +87,16 @@ void Network::RecordTransfer(const std::string& src, const std::string& dst,
   if (metric_bytes_ != nullptr) {
     metric_bytes_->Increment(bytes);
     metric_messages_->Increment(static_cast<double>(messages));
-    std::string link = src + "->" + dst;
-    auto it = metric_by_link_.find(link);
-    if (it == metric_by_link_.end()) {
-      it = metric_by_link_
-               .emplace(link,
-                        std::make_pair(
-                            metrics_->GetCounter("xdb_network_bytes_total",
-                                                 {{"link", link}}),
-                            metrics_->GetCounter("xdb_network_messages_total",
-                                                 {{"link", link}})))
-               .first;
-    }
-    it->second.first->Increment(bytes);
-    it->second.second->Increment(static_cast<double>(messages));
+    const MetricLabels link = {{"link", src + "->" + dst}};
+    metrics_->GetCounter("xdb_network_bytes_total", link)->Increment(bytes);
+    metrics_->GetCounter("xdb_network_messages_total", link)
+        ->Increment(static_cast<double>(messages));
+    // Per-link encoded cells appear on the first encoded transfer, so
+    // raw-mode runs expose no zero-valued encoded series.
     if (encoded) {
       metric_encoded_->Increment(bytes);
-      auto eit = metric_encoded_by_link_.find(link);
-      if (eit == metric_encoded_by_link_.end()) {
-        eit = metric_encoded_by_link_
-                  .emplace(link, metrics_->GetCounter(
-                                     "xdb_network_encoded_bytes_total",
-                                     {{"link", link}}))
-                  .first;
-      }
-      eit->second->Increment(bytes);
+      metrics_->GetCounter("xdb_network_encoded_bytes_total", link)
+          ->Increment(bytes);
     }
   }
 }

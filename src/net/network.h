@@ -35,10 +35,10 @@ struct LinkStats {
 /// timing model. It never sleeps or blocks — time is modelled, not spent.
 ///
 /// Concurrency: topology (nodes/links/blocked pairs) is setup-time only.
-/// The *accounting* paths — RecordTransfer, the unknown-node violation set,
-/// and the memoized per-link metric cells — are mutex-guarded so concurrent
-/// queries may record traffic safely. The network is move-only (the mutex
-/// travels behind a pointer); reads of stats() must not race RecordTransfer.
+/// The *accounting* paths — RecordTransfer and the unknown-node violation
+/// set — are mutex-guarded so concurrent queries may record traffic safely.
+/// The network is move-only (the mutex travels behind a pointer); reads of
+/// stats() must not race RecordTransfer.
 class Network {
  public:
   /// Registers a node; links to other nodes use the default props unless
@@ -146,7 +146,7 @@ class Network {
   /// Caller must hold *mu_.
   bool CheckNodeKnown(const std::string& name) const;
 
-  // Guards the accounting state (stats_, unknown_nodes_, metric_by_link_).
+  // Guards the accounting state (stats_, unknown_nodes_).
   // Behind a pointer so Network stays movable (preset factories return by
   // value); a moved-from network must not be used.
   mutable std::unique_ptr<std::mutex> mu_ = std::make_unique<std::mutex>();
@@ -157,12 +157,6 @@ class Network {
   Counter* metric_bytes_ = nullptr;     // xdb_network_bytes_total
   Counter* metric_messages_ = nullptr;  // xdb_network_messages_total
   Counter* metric_encoded_ = nullptr;   // xdb_network_encoded_bytes_total
-  // Memoized labeled cells, keyed by "src->dst" (cardinality is bounded by
-  // the topology). Rebuilt from scratch when the registry changes.
-  std::map<std::string, std::pair<Counter*, Counter*>> metric_by_link_;
-  // Per-link encoded-byte cells, created lazily on first encoded transfer
-  // over the link so raw-mode runs expose no zero-valued encoded series.
-  std::map<std::string, Counter*> metric_encoded_by_link_;
   mutable std::set<std::string> unknown_nodes_;
   std::map<std::pair<std::string, std::string>, LinkProps> links_;
   std::set<std::pair<std::string, std::string>> blocked_;

@@ -122,7 +122,7 @@ void WriteRunTrace(JsonWriter* w, const RunTrace& trace) {
     w->EndObject();
   }
   w->EndArray();
-  w->Field("recovery_action", trace.recovery_action);
+  w->Field("recovery_action", RecoveryActionToString(trace.recovery_action));
   w->Field("useful_bytes", trace.UsefulTransferredBytes());
   w->Field("wasted_bytes", trace.WastedTransferredBytes());
   w->Field("total_bytes", trace.TotalTransferredBytes());
@@ -132,12 +132,6 @@ void WriteRunTrace(JsonWriter* w, const RunTrace& trace) {
 }
 
 }  // namespace
-
-std::string ComputeTraceToJson(const ComputeTrace& trace) {
-  JsonWriter w;
-  WriteComputeTrace(&w, trace);
-  return w.str();
-}
 
 std::string RunTraceToJson(const RunTrace& trace) {
   JsonWriter w;

@@ -26,9 +26,6 @@ class MetricsRegistry;
 /// Serializes spans as a Chrome trace-event file.
 std::string SpansToChromeTrace(const std::vector<Span>& spans);
 
-/// Serializes one ComputeTrace as a JSON object.
-std::string ComputeTraceToJson(const ComputeTrace& trace);
-
 /// Serializes the full RunTrace (transfers, per-server, recovery trail).
 std::string RunTraceToJson(const RunTrace& trace);
 

@@ -1,9 +1,9 @@
 #include "src/obs/introspect.h"
 
 #include <algorithm>
-#include <cctype>
 #include <utility>
 
+#include "src/common/str_util.h"
 #include "src/dbms/federation.h"
 #include "src/dbms/health.h"
 #include "src/dbms/server.h"
@@ -16,14 +16,6 @@
 namespace xdb {
 
 namespace {
-
-std::string Lower(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
 
 /// Common base: fixed name + schema, rows supplied by the subclass.
 class ProviderBase : public SystemTableProvider {
@@ -325,13 +317,13 @@ class ServersProvider : public ProviderBase {
 
 void IntrospectionRegistry::Register(
     std::unique_ptr<SystemTableProvider> provider) {
-  std::string key = Lower(provider->name());
+  std::string key = ToLower(provider->name());
   providers_[std::move(key)] = std::move(provider);
 }
 
 SystemTableProvider* IntrospectionRegistry::Find(
     const std::string& table) const {
-  auto it = providers_.find(Lower(table));
+  auto it = providers_.find(ToLower(table));
   return it == providers_.end() ? nullptr : it->second.get();
 }
 

@@ -133,8 +133,6 @@ class MetricsRegistry {
   /// cell, deterministic (name-sorted families, label-sorted cells, escaped
   /// label values and HELP).
   std::string ExposeText() const;
-  /// Older name for ExposeText(), kept for callers predating labels.
-  std::string TextExposition() const { return ExposeText(); }
 
   /// Structured snapshot of every cell, in exactly ExposeText() order
   /// (name-sorted families; counters, then gauges, then histograms within a

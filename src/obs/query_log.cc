@@ -4,29 +4,9 @@
 #include <cstdio>
 
 #include "src/common/json_writer.h"
+#include "src/common/str_util.h"
 
 namespace xdb {
-
-namespace {
-
-/// Digit runs -> '*', so "Filter(o_orderkey = 4711)" and "... = 12" share a
-/// predicate shape and recurring misestimates group in the drill-down.
-std::string PredicateShape(const std::string& detail) {
-  std::string out;
-  bool in_digits = false;
-  for (char c : detail) {
-    if (c >= '0' && c <= '9') {
-      if (!in_digits) out += '*';
-      in_digits = true;
-    } else {
-      out += c;
-      in_digits = false;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void QueryLog::set_capacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -44,16 +24,6 @@ void QueryLog::set_drift_threshold(double fraction) {
 double QueryLog::drift_threshold() const {
   std::lock_guard<std::mutex> lock(mu_);
   return drift_threshold_;
-}
-
-void QueryLog::set_qerror_threshold(double q) {
-  std::lock_guard<std::mutex> lock(mu_);
-  qerror_threshold_ = q;
-}
-
-double QueryLog::qerror_threshold() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return qerror_threshold_;
 }
 
 void QueryLog::Record(QueryStats stats) {
@@ -97,10 +67,12 @@ void QueryLog::Record(QueryStats stats) {
     if (worst == nullptr || ea.q_error > worst->q_error) worst = &ea;
   }
   if (worst != nullptr) stats.max_q_error = worst->q_error;
-  if (worst != nullptr && worst->q_error >= qerror_threshold_) {
+  if (worst != nullptr && worst->q_error >= kMisestimateQError) {
+    // The predicate's shape ("o_orderkey = *"): recurring misestimates of
+    // one predicate with different literals group in the drill-down.
     misestimate_events_.push_back(MisestimateEvent{
         stats.sequence, stats.label, worst->op, worst->server,
-        PredicateShape(worst->detail), worst->est_rows, worst->act_rows,
+        CollapseDigitRuns(worst->detail), worst->est_rows, worst->act_rows,
         worst->q_error});
     while (misestimate_events_.size() > kMisestimateRingCapacity) {
       misestimate_events_.pop_front();
@@ -158,7 +130,7 @@ std::vector<std::string> QueryLog::QErrorDrilldown(
                   ">= %.1f)",
                   label.empty() ? "" : " for label '",
                   label.c_str(), label.empty() ? "" : "'",
-                  qerror_threshold_);
+                  kMisestimateQError);
     lines.emplace_back(buf);
     return lines;
   }
@@ -166,7 +138,7 @@ std::vector<std::string> QueryLog::QErrorDrilldown(
                 "misestimates: %zu retained run(s)%s%s%s (threshold: max "
                 "q-error >= %.1f)",
                 matched, label.empty() ? "" : " for label '", label.c_str(),
-                label.empty() ? "" : "'", qerror_threshold_);
+                label.empty() ? "" : "'", kMisestimateQError);
   lines.emplace_back(buf);
   for (const auto& ev : misestimate_events_) {
     if (!label.empty() && ev.label != label) continue;
@@ -222,7 +194,7 @@ std::vector<std::string> QueryLog::Summary() const {
     std::snprintf(buf, sizeof(buf),
                   "misestimates: %zu run(s) with max q-error >= %.1f "
                   "(drill down with \\qerror [label])",
-                  misestimate_events_.size(), qerror_threshold_);
+                  misestimate_events_.size(), kMisestimateQError);
     lines.emplace_back(buf);
   }
   for (const auto& q : entries_) {
@@ -244,7 +216,7 @@ std::vector<std::string> QueryLog::Summary() const {
     // Misestimate token only past the threshold — well-estimated lines stay
     // byte-identical to before the accountability plane.
     char qerr[32] = "";
-    if (q.max_q_error >= qerror_threshold_) {
+    if (q.max_q_error >= kMisestimateQError) {
       std::snprintf(qerr, sizeof(qerr), "  [q-err=%.1f]", q.max_q_error);
     }
     std::snprintf(buf, sizeof(buf),
@@ -253,7 +225,7 @@ std::vector<std::string> QueryLog::Summary() const {
                   static_cast<long long>(q.sequence), q.label.c_str(),
                   q.system.c_str(), q.total_seconds(), q.useful_bytes,
                   q.wasted_bytes, q.transfers, q.retries, q.replan_rounds,
-                  q.recovery_action.c_str(), comp, part, qerr,
+                  RecoveryActionToString(q.recovery_action), comp, part, qerr,
                   q.plan_cache_hit ? "  [cached plan]" : "",
                   q.ok ? "" : "  FAILED");
     lines.emplace_back(buf);
@@ -398,7 +370,7 @@ std::string QueryLog::ToJson() const {
     w.Field("transfers", q.transfers);
     w.Field("retries", q.retries);
     w.Field("replan_rounds", q.replan_rounds);
-    w.Field("recovery_action", q.recovery_action);
+    w.Field("recovery_action", RecoveryActionToString(q.recovery_action));
     w.Field("partial", q.partial);
     w.Field("completeness_fraction", q.completeness_fraction);
     w.Field("lost_fragments", q.lost_fragments);

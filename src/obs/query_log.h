@@ -45,7 +45,7 @@ struct QueryStats {
   // Recovery trail.
   int retries = 0;
   int replan_rounds = 0;
-  std::string recovery_action = "none";
+  RecoveryAction recovery_action = RecoveryAction::kNone;
 
   // Graceful degradation (allow_partial queries only; defaults mean a
   // complete result).
@@ -177,12 +177,6 @@ class QueryLog {
 
   // --- misestimate tracking (estimation accountability) ---
 
-  /// Max-q-error threshold at or above which a recorded query is banked as
-  /// a MisestimateEvent (default 4.0). Applies to queries recorded after
-  /// the change.
-  void set_qerror_threshold(double q);
-  double qerror_threshold() const;
-
   /// Misestimated runs observed so far (bounded ring of the most recent 64).
   std::vector<MisestimateEvent> MisestimateEvents() const;
 
@@ -228,6 +222,9 @@ class QueryLog {
   static constexpr int64_t kDriftMinSamples = 3;
   static constexpr size_t kDriftRingCapacity = 64;
   static constexpr size_t kMisestimateRingCapacity = 64;
+  /// Max q-error at or above which a recorded query is banked as a
+  /// MisestimateEvent.
+  static constexpr double kMisestimateQError = 4.0;
 
   mutable std::mutex mu_;
   size_t capacity_;
@@ -239,7 +236,6 @@ class QueryLog {
   double lifetime_useful_bytes_ = 0;
   double lifetime_wasted_bytes_ = 0;
   double drift_threshold_ = 0.25;
-  double qerror_threshold_ = 4.0;
   std::map<std::string, LabelStats> label_stats_;
   std::deque<DriftEvent> drift_events_;
   std::deque<MisestimateEvent> misestimate_events_;

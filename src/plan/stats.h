@@ -23,12 +23,6 @@ struct ColumnStats {
 struct TableStats {
   double row_count = 0;
   std::vector<ColumnStats> columns;  // aligned with the relation's schema
-
-  double avg_row_width() const {
-    double w = 0;
-    for (const auto& c : columns) w += c.avg_width;
-    return w > 0 ? w : 64.0;
-  }
 };
 
 /// \brief Scans a table once and computes exact min/max/ndv/width stats.

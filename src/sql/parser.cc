@@ -193,7 +193,10 @@ class Parser {
   Result<SelectPtr> ParseSelectStmt() {
     XDB_RETURN_NOT_OK(ExpectKeyword("SELECT"));
     auto sel = std::make_shared<SelectStmt>();
-    MatchKeyword("DISTINCT");  // accepted; evaluation treats GROUP BY as dedup
+    if (MatchKeyword("DISTINCT")) {
+      // Rejected rather than silently answered with duplicates.
+      return Status::NotImplemented("SELECT DISTINCT is not supported");
+    }
     if (MatchOp("*")) {
       sel->select_star = true;
     } else {

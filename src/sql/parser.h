@@ -11,7 +11,7 @@ namespace sql {
 /// \brief Parses a single SQL statement (trailing semicolon allowed).
 ///
 /// Supported grammar (the subset the XDB system needs end-to-end):
-///   SELECT [DISTINCT] * | expr [AS alias], ...
+///   SELECT * | expr [AS alias], ...  (DISTINCT: kNotImplemented)
 ///     FROM [db.]table [AS alias], ...
 ///     [WHERE expr] [GROUP BY expr, ...]
 ///     [ORDER BY expr [ASC|DESC], ...] [LIMIT n]

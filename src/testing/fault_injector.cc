@@ -32,20 +32,6 @@ const char* FaultOpToString(FaultOp op) {
   return "unknown";
 }
 
-const char* FaultKindToString(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNodeDown:
-      return "node-down";
-    case FaultKind::kTransientError:
-      return "transient-error";
-    case FaultKind::kLinkDrop:
-      return "link-drop";
-    case FaultKind::kSlowLink:
-      return "slow-link";
-  }
-  return "unknown";
-}
-
 int FaultInjector::AddFault(FaultSpec spec) {
   std::lock_guard<std::mutex> lock(mu_);
   int id = next_id_++;
@@ -72,11 +58,6 @@ void FaultInjector::MarkNodeDown(const std::string& server) {
 void FaultInjector::MarkNodeUp(const std::string& server) {
   std::lock_guard<std::mutex> lock(mu_);
   down_nodes_.erase(server);
-}
-
-bool FaultInjector::IsNodeDown(const std::string& server) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return down_nodes_.count(server) > 0;
 }
 
 double FaultInjector::NextUniform() {
@@ -115,12 +96,14 @@ bool FaultInjector::Fires(ActiveFault* fault) {
 }
 
 Status FaultInjector::OnOperation(const std::string& server, FaultOp op,
-                                  const std::string& peer) {
+                                  const std::string& peer,
+                                  double* delay_seconds) {
+  const FailureSite site{server, peer, op, false};
   std::lock_guard<std::mutex> lock(mu_);
   if (down_nodes_.count(server) > 0) {
-    last_fault_ = FaultEvent{-1, server, peer, op, FaultKind::kNodeDown};
     ++faults_fired_;
-    return Status::Unavailable("DBMS '" + server + "' is down");
+    return Status::Unavailable("DBMS '" + server + "' is down")
+        .WithSite(site);
   }
   for (auto& [id, fault] : faults_) {
     const FaultSpec& spec = fault.spec;
@@ -144,20 +127,21 @@ Status FaultInjector::OnOperation(const std::string& server, FaultOp op,
     }
     if (!Fires(&fault)) continue;
 
-    last_fault_ = FaultEvent{id, server, peer, op, spec.kind};
     ++faults_fired_;
-    pending_delay_seconds_ += spec.delay_seconds;
     total_delay_seconds_ += spec.delay_seconds;
+    if (delay_seconds != nullptr) *delay_seconds += spec.delay_seconds;
     switch (spec.kind) {
       case FaultKind::kNodeDown:
-        return Status::Unavailable("DBMS '" + server + "' is down");
+        return Status::Unavailable("DBMS '" + server + "' is down")
+            .WithSite(site);
       case FaultKind::kTransientError:
-        return Status::Unavailable(
-            "injected transient fault on '" + server + "' during " +
-            FaultOpToString(op));
+        return Status::Unavailable("injected transient fault on '" + server +
+                                   "' during " + FaultOpToString(op))
+            .WithSite(site);
       case FaultKind::kLinkDrop:
         return Status::Timeout("link " + server + "<->" + peer +
-                               " dropped during " + FaultOpToString(op));
+                               " dropped during " + FaultOpToString(op))
+            .WithSite({server, peer, op, true});
       case FaultKind::kSlowLink:
         break;  // unreachable
     }
@@ -186,13 +170,6 @@ void FaultInjector::DegradeLink(const std::string& a, const std::string& b,
     props->bandwidth /= spec.slow_factor;
     props->latency *= spec.slow_factor;
   }
-}
-
-double FaultInjector::TakeInjectedDelay() {
-  std::lock_guard<std::mutex> lock(mu_);
-  double d = pending_delay_seconds_;
-  pending_delay_seconds_ = 0;
-  return d;
 }
 
 bool FaultInjector::InBurstState(int id) const {

@@ -4,7 +4,6 @@
 #include <limits>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 
@@ -12,12 +11,6 @@
 #include "src/net/network.h"
 
 namespace xdb {
-
-/// \brief Operation classes the injector can intercept. These are the
-/// interaction points the paper's architecture exposes: DDL deployment and
-/// query triggering through a connector, and server-to-server fetches /
-/// data transfers on the simulated network.
-enum class FaultOp { kDdl, kQuery, kFetch, kTransfer };
 
 /// \brief What an injected fault does.
 enum class FaultKind {
@@ -28,7 +21,6 @@ enum class FaultKind {
 };
 
 const char* FaultOpToString(FaultOp op);
-const char* FaultKindToString(FaultKind kind);
 
 /// \brief One programmable fault: *where* it applies (server, or a link
 /// endpoint pair for link kinds; empty strings are wildcards), *what* it
@@ -80,16 +72,6 @@ struct FaultSpec {
   double diurnal_duty = 0.5;
 };
 
-/// \brief What fired last — consumed by the failover logic to decide which
-/// node or link to exclude when replanning.
-struct FaultEvent {
-  int fault_id = -1;  // -1 for MarkNodeDown-driven failures
-  std::string server;
-  std::string peer;
-  FaultOp op = FaultOp::kDdl;
-  FaultKind kind = FaultKind::kNodeDown;
-};
-
 /// \brief Deterministic, seeded fault injector for the simulated
 /// federation (wired in through Federation::SetFaultInjector).
 ///
@@ -100,12 +82,13 @@ struct FaultEvent {
 /// default), every hook is a null-pointer check: the fault-free path is
 /// bit-identical to a build without the framework.
 ///
-/// Thread-safe: counters, PRNG, and the last-fault record are mutex-guarded
-/// so concurrent sessions may share one injector. Under concurrency the
-/// *interleaving* of matched calls (and hence which query a probabilistic
-/// fault hits) is scheduling-dependent; single-threaded runs keep the exact
-/// deterministic sequence. Prefer LastFaultSnapshot() over last_fault() from
-/// concurrent callers.
+/// Thread-safe: counters and the PRNG are mutex-guarded so concurrent
+/// sessions may share one injector. Under concurrency the *interleaving* of
+/// matched calls (and hence which query a probabilistic fault hits) is
+/// scheduling-dependent; single-threaded runs keep the exact deterministic
+/// sequence. Everything a fired fault means for its caller — the failure
+/// with its FailureSite, and the modelled delay — comes back from the one
+/// OnOperation call, so no injector state is shared between queries.
 class FaultInjector {
  public:
   explicit FaultInjector(uint64_t seed = 0) : prng_state_(seed) {}
@@ -118,13 +101,15 @@ class FaultInjector {
   /// Convenience: the server refuses everything until MarkNodeUp.
   void MarkNodeDown(const std::string& server);
   void MarkNodeUp(const std::string& server);
-  bool IsNodeDown(const std::string& server) const;
 
   /// Interception hook: returns OK or the injected failure for an
   /// operation on `server` (for fetches/transfers, `peer` is the other
-  /// link endpoint). Matched-call counters advance deterministically.
+  /// link endpoint), stamped with its FailureSite. The modelled delay the
+  /// fired fault charges is added to `*delay_seconds` when non-null.
+  /// Matched-call counters advance deterministically.
   Status OnOperation(const std::string& server, FaultOp op,
-                     const std::string& peer = std::string());
+                     const std::string& peer = std::string(),
+                     double* delay_seconds = nullptr);
 
   /// Applies every matching kSlowLink spec to `props` (bandwidth divided,
   /// latency multiplied). Pure — consulted by Network::GetLink so the
@@ -132,15 +117,6 @@ class FaultInjector {
   /// model.
   void DegradeLink(const std::string& a, const std::string& b,
                    LinkProps* props) const;
-
-  /// Single-threaded inspection API (tests): reference into guarded state.
-  const std::optional<FaultEvent>& last_fault() const { return last_fault_; }
-
-  /// Concurrency-safe snapshot of the last fired fault (copy under lock).
-  std::optional<FaultEvent> LastFaultSnapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return last_fault_;
-  }
 
   int faults_fired() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -150,10 +126,6 @@ class FaultInjector {
     std::lock_guard<std::mutex> lock(mu_);
     return total_delay_seconds_;
   }
-
-  /// Drains modelled delay accumulated by fired faults since the last
-  /// call; the federation charges it to the active run.
-  double TakeInjectedDelay();
 
   /// Test hook: whether a Gilbert–Elliott fault's channel is currently in
   /// the bad (bursty) state. False for unknown ids or non-GE specs.
@@ -181,9 +153,7 @@ class FaultInjector {
   std::set<std::string> down_nodes_;
   int next_id_ = 0;
   uint64_t prng_state_;
-  std::optional<FaultEvent> last_fault_;
   int faults_fired_ = 0;
-  double pending_delay_seconds_ = 0;
   double total_delay_seconds_ = 0;
 };
 

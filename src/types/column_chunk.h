@@ -50,7 +50,6 @@ class ColumnChunk {
   ColumnEncoding encoding() const { return encoding_; }
   TypeId type() const { return type_; }
   size_t size() const { return size_; }
-  bool has_nulls() const { return !nulls_.empty(); }
   bool IsNull(size_t i) const { return !nulls_.empty() && nulls_[i] != 0; }
 
   /// Reconstructs lane `i` as the exact original Value.
@@ -66,7 +65,6 @@ class ColumnChunk {
   // Typed payload access for the vectorized kernels. Valid per encoding().
   const std::vector<int64_t>& i64_data() const { return i64_; }
   const std::vector<double>& f64_data() const { return f64_; }
-  const std::vector<std::string>& str_data() const { return strs_; }
   const std::vector<std::string>& dict() const { return dict_; }
   const std::vector<uint32_t>& codes() const { return codes_; }
   const std::vector<int64_t>& run_values() const { return run_values_; }

@@ -51,10 +51,8 @@ Status DelegationEngine::IssueWithRetry(DbmsConnector* dc,
     // A DDL that failed because a foreign fetch inside it failed (e.g. a
     // CTAS ingesting a remote stream) was already charged to the remote the
     // fetch named; don't also blame the server running the DDL.
-    const bool remote_attributed =
-        !out.status.ok() &&
-        out.status.message().find("foreign fetch of ") != std::string::npos;
-    if (!remote_attributed) {
+    const FailureSite* site = out.status.site();
+    if (site == nullptr || !site->on_fetch_path()) {
       fed_->RecordHealthOutcome(server, out.attempts, out.status);
     }
   }
@@ -88,7 +86,7 @@ Result<XdbQuery> DelegationEngine::Deploy(DelegationPlan* plan) {
     failure_ = FailureInfo{server, ddl, st};
     size_t n = created_.size();
     Status rollback = Cleanup();
-    if (fed_ != nullptr) fed_->NoteRecovery("rolled-back");
+    if (fed_ != nullptr) fed_->NoteRecovery(RecoveryAction::kRolledBack);
     if (n > 0) {
       std::string note = "rolled back " + std::to_string(n) + " relation(s)";
       if (!rollback.ok()) {

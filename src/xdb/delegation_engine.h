@@ -62,8 +62,15 @@ class DelegationEngine {
   /// calling again on an empty ledger is a no-op.
   Status Cleanup();
 
-  /// Relations still awaiting cleanup (non-empty after a failed Cleanup).
-  size_t pending_cleanup() const { return created_.size(); }
+  /// (server, relation) pairs still awaiting cleanup, in creation order
+  /// (non-empty after a failed Cleanup).
+  std::vector<std::pair<std::string, std::string>> pending_cleanup() const {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const auto& [server, relation, kind] : created_) {
+      out.emplace_back(server, relation);
+    }
+    return out;
+  }
 
   const std::optional<FailureInfo>& last_failure() const { return failure_; }
 

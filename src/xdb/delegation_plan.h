@@ -55,9 +55,6 @@ struct DelegationPlan {
     return out;
   }
 
-  /// Count of inter-DBMS movements (all edges cross DBMSes by construction).
-  size_t NumMovements() const { return edges.size(); }
-
   /// Paper-style rendering: one line per edge
   /// "db1:join(c,o) --implicit--> db2:join(?,l)  [~N rows]".
   std::string ToString() const;

@@ -48,10 +48,8 @@ Result<PlanPtr> GlobalCatalog::Resolve(const std::string& db,
   if (!meta.loaded) {
     DbmsConnector* dc = connectors_.at(meta.server);
     XDB_ASSIGN_OR_RETURN(meta.schema, dc->DescribeTable(key));
-    metadata_roundtrips_.fetch_add(1, std::memory_order_relaxed);
     ++t_metadata_roundtrips;
     XDB_ASSIGN_OR_RETURN(meta.stats, dc->FetchStats(key));
-    metadata_roundtrips_.fetch_add(1, std::memory_order_relaxed);
     ++t_metadata_roundtrips;
     meta.loaded = true;
   }

@@ -38,16 +38,6 @@ class GlobalCatalog : public RelationResolver {
   /// The DBMS storing `table` (empty when unknown).
   std::string LocateTable(const std::string& table) const;
 
-  /// Metadata round trips performed since the last reset (process-wide;
-  /// under concurrency use the thread-scoped counters below for per-query
-  /// attribution).
-  int metadata_roundtrips() const {
-    return metadata_roundtrips_.load(std::memory_order_relaxed);
-  }
-  void ResetCounters() {
-    metadata_roundtrips_.store(0, std::memory_order_relaxed);
-  }
-
   /// Metadata round trips performed by the *calling thread* since its last
   /// ResetThreadRoundtrips() — deterministic per query even when sessions
   /// share the catalog.
@@ -89,7 +79,6 @@ class GlobalCatalog : public RelationResolver {
   std::map<std::string, DbmsConnector*> connectors_;
   mutable std::mutex mu_;  // guards tables_ meta mutation (lazy loads)
   std::map<std::string, TableMeta> tables_;  // global table name -> meta
-  std::atomic<int> metadata_roundtrips_{0};
   std::atomic<int64_t> catalog_version_{0};
   std::atomic<int64_t> stats_version_{0};
 };

@@ -140,9 +140,6 @@ class SessionManager {
   int64_t total_queries() const {
     return total_queries_.load(std::memory_order_relaxed);
   }
-  int active_sessions() const {
-    return active_sessions_.load(std::memory_order_relaxed);
-  }
 
   /// Point-in-time view of every open session, sorted by id. Safe to call
   /// while other threads serve queries: the registry map is mutex-guarded

@@ -1,23 +1,18 @@
 #include "src/xdb/xdb.h"
 
 #include <algorithm>
-#include <cctype>
-#include <chrono>
 #include <functional>
 #include <optional>
 #include <thread>
 
 #include "src/common/json_writer.h"
-#include "src/common/thread_pool.h"
+#include "src/common/str_util.h"
 #include "src/exec/executor.h"
 #include "src/obs/introspect.h"
-#include "src/plan/estimator.h"
 #include "src/plan/planner.h"
 #include "src/plan/stats.h"
 #include "src/sql/parser.h"
-#include "src/testing/fault_injector.h"
 #include "src/xdb/annotator.h"
-#include "src/xdb/finalizer.h"
 
 namespace xdb {
 
@@ -27,63 +22,6 @@ Dialect DialectForVendor(const std::string& vendor) {
   if (vendor == "mariadb") return Dialect::MariaDb();
   if (vendor == "hive") return Dialect::Hive();
   return Dialect::Postgres();
-}
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void HashCombine(uint64_t* h, uint64_t v) {
-  *h ^= v + 0x9e3779b97f4a7c15ULL + (*h << 6) + (*h >> 2);
-}
-
-/// Engine profiles are fixed at federation setup, so this hash is computed
-/// once; it exists so a cache carried across reconfigured federations (e.g.
-/// in tests) can never serve a plan annotated under different cost models.
-uint64_t HashProfiles(Federation* fed) {
-  std::hash<std::string> hs;
-  std::hash<double> hd;
-  uint64_t h = 0;
-  for (const auto& name : fed->ServerNames()) {
-    const EngineProfile& p = fed->GetServer(name)->profile();
-    HashCombine(&h, hs(name));
-    HashCombine(&h, hs(p.vendor));
-    for (double c : {p.scan_row_cost, p.join_row_cost, p.agg_row_cost,
-                     p.sort_row_cost, p.materialize_row_cost, p.startup_cost,
-                     p.fetch_row_cost, p.wire_inflation}) {
-      HashCombine(&h, hd(c));
-    }
-    HashCombine(&h, static_cast<uint64_t>(p.parallelism));
-  }
-  return h;
-}
-
-std::string AsciiLower(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
-
-/// Case-insensitive substring probe for the `xdb_stat.` qualifier — the
-/// cheap pre-filter that keeps non-introspection queries at one scan of the
-/// raw SQL text (false positives are sorted out by parsing the FROM list).
-bool MentionsXdbStat(const std::string& sql) {
-  static constexpr char kNeedle[] = "xdb_stat.";
-  constexpr size_t n = sizeof(kNeedle) - 1;
-  if (sql.size() < n) return false;
-  for (size_t i = 0; i + n <= sql.size(); ++i) {
-    size_t j = 0;
-    while (j < n && std::tolower(static_cast<unsigned char>(sql[i + j])) ==
-                        kNeedle[j]) {
-      ++j;
-    }
-    if (j == n) return true;
-  }
-  return false;
 }
 
 /// Mediator-local execution services for an introspection query: relations
@@ -96,7 +34,7 @@ class IntrospectionExecContext : public ExecContext {
       : snapshots_(snapshots), threads_(threads) {}
 
   Result<TablePtr> GetLocalTable(const std::string& name) override {
-    auto it = snapshots_->find(AsciiLower(name));
+    auto it = snapshots_->find(ToLower(name));
     if (it == snapshots_->end()) {
       return Status::CatalogError("unknown system table '" + name + "'");
     }
@@ -130,7 +68,7 @@ class IntrospectionResolver : public RelationResolver {
 
   Result<PlanPtr> Resolve(const std::string& db,
                           const std::string& table) override {
-    std::string key = AsciiLower(table);
+    std::string key = ToLower(table);
     auto it = snapshots_->find(key);
     if (it == snapshots_->end()) {
       return Status::CatalogError("unknown system table '" + db + "." +
@@ -163,28 +101,56 @@ std::string PredicateClass(const std::string& detail) {
 
 }  // namespace
 
-XdbSystem::XdbSystem(Federation* fed, XdbOptions options)
-    : fed_(fed), options_(std::move(options)) {
-  fed_->network().AddNode(options_.middleware_node);
+XdbSystem::XdbSystem(Federation* fed, XdbOptions options) : fed_(fed) {
+  fed_->network().AddNode(options.middleware_node);
   for (const auto& name : fed_->ServerNames()) {
     DatabaseServer* server = fed_->GetServer(name);
     // >0 only: a default-constructed system must not clobber an explicit
     // per-server setting (federations are shared across systems in benches).
-    if (options_.exec_threads > 0) {
-      server->set_exec_threads(options_.exec_threads);
+    if (options.exec_threads > 0) {
+      server->set_exec_threads(options.exec_threads);
     }
     auto dc = std::make_unique<DbmsConnector>(
         server, DialectForVendor(server->profile().vendor), fed_,
-        options_.middleware_node);
+        options.middleware_node);
     connector_ptrs_[name] = dc.get();
     connectors_[name] = std::move(dc);
   }
   catalog_ = std::make_unique<GlobalCatalog>(connector_ptrs_);
-  profile_hash_ = HashProfiles(fed_);
-  if (options_.plan_cache_capacity > 0) {
-    plan_cache_ =
-        std::make_unique<DelegationPlanCache>(options_.plan_cache_capacity);
-  }
+
+  SystemSpec spec;
+  spec.system = "xdb";
+  spec.span_name = "query";
+  spec.ddl_prefix = "xdb";
+  // Placement: the Annotator's Rule-4 consultations, routed around whatever
+  // the breakers and earlier failover rounds excluded.
+  spec.place = [this, policy = MovementPolicy(options.movement_policy)](
+                   PlanNode* plan, const PlacementConstraints* excluded,
+                   int* consultations) {
+    Annotator annotator(connector_ptrs_, &fed_->network(), policy, excluded);
+    Status st = annotator.Annotate(plan);
+    *consultations += annotator.consultations();
+    return st;
+  };
+  // `xdb_stat.*` system tables run mediator-local, ahead of the breakers
+  // and the plan cache. The substring probe is the only cost non-users
+  // pay — and only once introspection was enabled.
+  spec.local = [this](const std::string& sql, const QueryContext& ctx)
+      -> std::optional<Result<XdbReport>> {
+    // Case-insensitive probe for the qualifier; false positives (a literal
+    // mentioning it) are sorted out by parsing the FROM list.
+    if (introspect_ == nullptr ||
+        ToLower(sql).find("xdb_stat.") == std::string::npos) {
+      return std::nullopt;
+    }
+    bool handled = false;
+    Result<XdbReport> r = RunIntrospectionQuery(sql, ctx, &handled);
+    if (!handled) return std::nullopt;  // the qualifier sat in a literal
+    return r;
+  };
+  spec.options = std::move(options);
+  pipeline_ = std::make_unique<QueryPipeline>(fed_, std::move(spec),
+                                              connector_ptrs_, catalog_.get());
 }
 
 // Out-of-line: ~unique_ptr<IntrospectionRegistry> needs the complete type.
@@ -202,28 +168,6 @@ IntrospectionRegistry* XdbSystem::EnableIntrospection(
     RegisterStandardProviders(introspect_.get(), fed_, this, sessions);
   }
   return introspect_.get();
-}
-
-std::string XdbSystem::PlacementFingerprint() const {
-  // Everything annotation depends on, cheap enough to recompute per query:
-  // schema/stats versions, engine profiles, placement epoch, and the policy
-  // knobs (constant per system, but a cache moved between systems must not
-  // cross-serve).
-  return "c" + std::to_string(catalog_->catalog_version()) + ":s" +
-         std::to_string(catalog_->stats_version()) + ":p" +
-         std::to_string(profile_hash_) + ":e" +
-         std::to_string(placement_epoch_.load(std::memory_order_acquire)) +
-         ":m" + std::to_string(options_.movement_policy) + ":pl" +
-         std::to_string(static_cast<int>(options_.planner.reorder_joins)) +
-         std::to_string(static_cast<int>(options_.planner.prune_columns)) +
-         std::to_string(static_cast<int>(options_.planner.push_down_filters)) +
-         std::to_string(static_cast<int>(options_.planner.bushy_joins)) +
-         // Health epoch: every breaker transition retires cached plans the
-         // way a placement-epoch bump does (":h0" with no tracker).
-         ":h" +
-         std::to_string(fed_->health_tracker() != nullptr
-                            ? fed_->health_tracker()->state_epoch()
-                            : 0);
 }
 
 std::string XdbSystem::ExportCalibrationLog() const {
@@ -272,36 +216,9 @@ std::string XdbSystem::ExportCalibrationLog() const {
   return w.str();
 }
 
-void XdbSystem::CountPlanCache(bool hit, int evictions) {
-  MetricsRegistry* metrics = fed_->metrics();
-  if (metrics == nullptr) return;
-  metrics
-      ->GetCounter(hit ? "xdb_plan_cache_hits_total"
-                       : "xdb_plan_cache_misses_total",
-                   {}, hit ? "Delegation-plan cache hits"
-                           : "Delegation-plan cache misses")
-      ->Increment();
-  CountPlanCacheEvictions(evictions);
-}
-
-void XdbSystem::CountPlanCacheEvictions(int evictions) {
-  MetricsRegistry* metrics = fed_->metrics();
-  if (metrics == nullptr || evictions <= 0) return;
-  metrics
-      ->GetCounter("xdb_plan_cache_evictions_total", {},
-                   "Delegation-plan cache evictions (LRU + stale)")
-      ->Increment(evictions);
-}
-
 DbmsConnector* XdbSystem::connector(const std::string& server) const {
   auto it = connector_ptrs_.find(server);
   return it != connector_ptrs_.end() ? it->second : nullptr;
-}
-
-double XdbSystem::Rtt(const std::string& server) const {
-  LinkProps link =
-      fed_->network().GetLink(options_.middleware_node, server);
-  return 2.0 * link.latency;
 }
 
 Result<XdbReport> XdbSystem::Query(const std::string& sql) {
@@ -310,124 +227,7 @@ Result<XdbReport> XdbSystem::Query(const std::string& sql) {
 
 Result<XdbReport> XdbSystem::Query(const std::string& sql,
                                    const QueryContext& ctx) {
-  const int query_id =
-      query_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Tag every morsel this query submits so the shared pool round-robins
-  // fairly across concurrent queries.
-  ScopedQueryTag query_tag(static_cast<uint64_t>(query_id));
-  // A session-scoped span recorder (if any) applies to this thread only.
-  struct SpanOverride {
-    bool set;
-    explicit SpanOverride(SpanRecorder* r) : set(r != nullptr) {
-      if (set) Federation::SetThreadSpanRecorder(r);
-    }
-    ~SpanOverride() {
-      if (set) Federation::SetThreadSpanRecorder(nullptr);
-    }
-  } span_override(ctx.spans);
-
-  RunTrace fail_trace;
-  Result<XdbReport> result = QueryImpl(sql, ctx, query_id, &fail_trace);
-  {
-    std::lock_guard<std::mutex> lock(trace_mu_);
-    last_trace_ = result.ok() ? result->trace : fail_trace;
-  }
-  RecordQueryStats(sql, result, fail_trace, ctx.label);
-  return result;
-}
-
-void XdbSystem::RecordQueryStats(const std::string& sql,
-                                 const Result<XdbReport>& result,
-                                 const RunTrace& fail_trace,
-                                 const std::string& label_hint) {
-  QueryLog* qlog = fed_->query_log();
-  MetricsRegistry* metrics = fed_->metrics();
-  if (qlog == nullptr && metrics == nullptr) return;
-
-  QueryStats qs;
-  qs.system = "xdb";
-  qs.sql = sql;
-  qs.ok = result.ok();
-  // The trace of a failed query is the accumulated recovery trail; a
-  // successful one reports its winning round's trace.
-  const RunTrace& trace = result.ok() ? result->trace : fail_trace;
-  qs.useful_bytes = trace.UsefulTransferredBytes();
-  qs.wasted_bytes = trace.WastedTransferredBytes();
-  qs.raw_bytes = trace.TotalRawTransferredBytes();
-  qs.transfer_rows = trace.TotalTransferredRows();
-  qs.transfers = static_cast<int>(trace.transfers.size());
-  qs.retries = static_cast<int>(trace.retries.size());
-  qs.replan_rounds = trace.replan_rounds;
-  qs.recovery_action = trace.recovery_action;
-  qs.lost_fragments = static_cast<int>(trace.lost_fragments.size());
-  // Estimate-vs-actual ledger of the executed plan. A replanned query's
-  // trace is the winning round's, so these estimates belong to the plan
-  // that actually ran, never to an abandoned alternate.
-  qs.estimates = trace.estimates;
-  // Winning round's transfer records, verbatim, for `xdb_stat.transfers`.
-  qs.transfer_log = trace.transfers;
-  if (result.ok()) {
-    qs.prep_seconds = result->phases.prep;
-    qs.lopt_seconds = result->phases.lopt;
-    qs.ann_seconds = result->phases.ann;
-    qs.exec_seconds = result->phases.exec;
-    qs.plan_cache_hit = result->plan_cache_hit;
-    qs.partial = result->partial();
-    qs.completeness_fraction = result->completeness.completeness_fraction;
-  } else {
-    qs.error = result.status().message();
-    qs.exec_seconds = trace.wasted_attempt_seconds +
-                      trace.total_backoff_seconds +
-                      trace.injected_delay_seconds;
-  }
-  TimingModel model(fed_, TimingOptions{options_.scale_up});
-  for (const auto& [srv, compute] : trace.per_server) {
-    const DatabaseServer* server = fed_->GetServer(srv);
-    if (server == nullptr) continue;
-    qs.per_server_seconds[srv] =
-        model.ComputeSeconds(compute, server->profile(),
-                             /*free_network=*/false);
-  }
-  // Hot spots are available whenever profilers happen to be attached
-  // (EXPLAIN ANALYZE, benches); plain queries leave this empty.
-  for (const auto& name : fed_->ServerNames()) {
-    const DatabaseServer* server = fed_->GetServer(name);
-    const OperatorProfiler* prof = server->profiler();
-    if (prof == nullptr) continue;
-    for (const auto& rec : prof->records()) {
-      qs.hot_operators.emplace_back(
-          name + ": " + rec.label,
-          OperatorProfiler::ModelledSeconds(rec, server->profile(),
-                                            options_.scale_up));
-    }
-  }
-  std::stable_sort(qs.hot_operators.begin(), qs.hot_operators.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second > b.second;
-                   });
-  if (qs.hot_operators.size() > 3) qs.hot_operators.resize(3);
-
-  // Label priority: explicit QueryContext label (sessions), then the
-  // log's pending next_label (single-threaded bench drivers; consumed by
-  // Record below since qs.label stays empty), then the catch-all bucket.
-  std::string label = label_hint;
-  if (label.empty() && qlog != nullptr) label = qlog->next_label();
-  if (label.empty()) label = "adhoc";
-  qs.label = label_hint;  // empty = let Record consume the pending hint
-  if (metrics != nullptr) {
-    // `{query=...}` stays bounded: an explicit hint (bench drivers label
-    // "Q5" etc.) or the single bucket "adhoc" — never raw SQL.
-    metrics
-        ->GetCounter("xdb_queries_total",
-                     {{"status", qs.ok ? "ok" : "error"}},
-                     "Top-level queries by final status")
-        ->Increment();
-    metrics
-        ->GetCounter("xdb_query_modelled_seconds_total", {{"query", label}},
-                     "Modelled end-to-end seconds per query label")
-        ->Increment(qs.total_seconds());
-  }
-  if (qlog != nullptr) qlog->Record(std::move(qs));
+  return pipeline_->Run(sql, ctx);
 }
 
 Result<XdbReport> XdbSystem::RunIntrospectionQuery(const std::string& sql,
@@ -455,8 +255,8 @@ Result<XdbReport> XdbSystem::RunIntrospectionQuery(const std::string& sql,
             classify(*ref.subquery);
             continue;
           }
-          if (AsciiLower(ref.db) == kXdbStatDb) {
-            stat_tables.push_back(AsciiLower(ref.table));
+          if (ToLower(ref.db) == kXdbStatDb) {
+            stat_tables.push_back(ToLower(ref.table));
           } else {
             fed_tables.push_back(ref.table);
           }
@@ -505,519 +305,31 @@ Result<XdbReport> XdbSystem::RunIntrospectionQuery(const std::string& sql,
   // metadata roundtrips by construction (asserted in tests via
   // report.metadata_roundtrips).
   IntrospectionResolver resolver(&snapshots);
-  Planner planner(&resolver, options_.planner);
+  Planner planner(&resolver, options().planner);
   XDB_ASSIGN_OR_RETURN(PlanPtr plan, planner.Plan(*stmt));
   size_t njoins = stmt->from.size() > 0 ? stmt->from.size() - 1 : 0;
-  report.phases.prep = options_.parse_analyze_cost;
+  report.phases.prep = options().parse_analyze_cost;
   report.phases.lopt =
-      options_.lopt_base_cost +
-      options_.lopt_per_join_cost * static_cast<double>(njoins);
+      options().lopt_base_cost +
+      options().lopt_per_join_cost * static_cast<double>(njoins);
   fed_->ChargeBudget(report.phases.prep + report.phases.lopt);
   if (ctx.deadline_seconds > 0 && fed_->RemainingBudget() == 0.0) {
-    return Status::Timeout("query deadline (" +
-                           std::to_string(ctx.deadline_seconds) +
-                           "s of modelled time) exhausted during "
-                           "introspection planning");
+    return ctx.DeadlineExhausted("during introspection planning");
   }
 
   // Execute on the middleware node with the normal vectorized executor.
   // No delegation, no DDL, no transfers — phases.ann and phases.exec stay
   // zero and the trace carries no transfer records.
-  int threads = options_.exec_threads;
+  int threads = options().exec_threads;
   if (threads <= 0) {
     threads = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
   }
   IntrospectionExecContext exec_ctx(&snapshots, threads);
   XDB_ASSIGN_OR_RETURN(report.result, ExecutePlan(*plan, &exec_ctx));
-  report.trace.root_server = options_.middleware_node;
+  report.trace.root_server = options().middleware_node;
   report.trace.root_compute = *exec_ctx.trace();
   return report;
-}
-
-Result<XdbReport> XdbSystem::QueryImpl(const std::string& sql,
-                                       const QueryContext& ctx, int query_id,
-                                       RunTrace* fail_trace) {
-  XdbReport report;
-  const double wall_start = NowSeconds();
-
-  // Reset up front, not at execution start: a query failing in parse or
-  // prepare must not report the previous query's recovery trail (or bank
-  // its bytes into the query log).
-  *fail_trace = RunTrace();
-
-  // Arm this thread's modelled-time budget + partial-results policy. Retry
-  // backoff and injected delay charge automatically; planning phases and
-  // failed failover rounds are charged explicitly below. Disarmed on every
-  // exit path.
-  fed_->ArmQueryBudget(ctx.deadline_seconds, ctx.allow_partial);
-  struct DisarmBudget {
-    Federation* fed;
-    ~DisarmBudget() { fed->DisarmQueryBudget(); }
-  } disarm_budget{fed_};
-  auto budget_exhausted = [this] { return fed_->RemainingBudget() == 0.0; };
-  auto deadline_status = [&](const std::string& where) {
-    return Status::Timeout("query deadline (" +
-                           std::to_string(ctx.deadline_seconds) +
-                           "s of modelled time) exhausted " + where);
-  };
-
-  GlobalCatalog::ResetThreadRoundtrips();
-
-  // Observability is opt-in per federation; `spans == nullptr` keeps every
-  // hook below at one pointer compare and never changes modelled results.
-  SpanRecorder* spans = fed_->span_recorder();
-  struct FinalizeSpans {
-    SpanRecorder* r;
-    ~FinalizeSpans() {
-      if (r != nullptr) r->FinalizeTimeline();
-    }
-  } finalize_spans{spans};
-  SpanGuard query_span(spans, "query " + std::to_string(query_id));
-  if (Span* sp = query_span.span()) sp->Tag("sql", sql);
-
-  // --- `xdb_stat.*` system tables: mediator-local, before everything. ---
-  // Routed ahead of the health consult and the plan-cache probe so an
-  // introspection query never consults breakers, never probes or populates
-  // the cache, and never touches the GlobalCatalog. The substring probe is
-  // the only cost non-users pay — and only once introspection was enabled.
-  if (introspect_ != nullptr && MentionsXdbStat(sql)) {
-    bool handled = false;
-    Result<XdbReport> r = RunIntrospectionQuery(sql, ctx, &handled);
-    if (handled) {
-      if (r.ok()) r->wall_seconds = NowSeconds() - wall_start;
-      return r;
-    }
-    // Parsed but referenced no xdb_stat relation (the qualifier sat in a
-    // string literal) — fall through to the federation pipeline.
-  }
-
-  // --- Circuit breakers: consult the health tracker once per query. ---
-  // Every open breaker seeds the planning constraints, so the planner
-  // routes around sick servers *before* touching them — the next query
-  // after a trip makes zero attempts against the tripped server. The
-  // consult may advance cooldowns (Open -> HalfOpen bumps the health
-  // epoch), so it must precede the fingerprint computation below.
-  PlacementConstraints constraints;
-  if (HealthTracker* health = fed_->health_tracker()) {
-    for (auto& sick : health->PlanningExclusions()) {
-      constraints.excluded_servers.insert(std::move(sick));
-    }
-  }
-
-  // --- Delegation-plan cache probe. ---
-  // A hit skips parsing, preparation, logical optimization, AND the
-  // annotation consultations of round 0: the cached plan is already
-  // annotated for the current placement (the fingerprint proves it), so
-  // prep/lopt/ann phase costs are genuinely zero.
-  PlanPtr plan;         // un-annotated logical plan (miss path)
-  PlanPtr cached_plan;  // annotated master clone (hit path)
-  std::string norm_sql;
-  std::string fingerprint;
-  bool cache_hit = false;
-  if (plan_cache_ != nullptr) {
-    norm_sql = NormalizeSql(sql);
-    fingerprint = PlacementFingerprint();
-    cached_plan = plan_cache_->Lookup(norm_sql, fingerprint);
-    cache_hit = cached_plan != nullptr;
-    CountPlanCache(cache_hit, /*evictions=*/0);
-  }
-  report.plan_cache_hit = cache_hit;
-
-  if (cache_hit) {
-    if (spans != nullptr) {
-      int64_t id = spans->StartSpan("plan-cache-hit");
-      spans->mutable_span(id)->Tag("fingerprint", fingerprint);
-      spans->EndSpan(id);
-    }
-  } else {
-    // --- Preparation: parse/analyze + gather metadata via connectors. ---
-    XDB_ASSIGN_OR_RETURN(sql::SelectPtr stmt, sql::ParseSelect(sql));
-    double prep_rtt = 0;
-    // Touch every referenced base table (recursing into derived tables) so
-    // schema + statistics are fetched through the owning DBMS's connector
-    // (cached across queries).
-    std::function<Status(const sql::SelectStmt&)> touch =
-        [&](const sql::SelectStmt& sel) -> Status {
-      for (const auto& ref : sel.from) {
-        if (ref.subquery) {
-          XDB_RETURN_NOT_OK(touch(*ref.subquery));
-          continue;
-        }
-        XDB_RETURN_NOT_OK(catalog_->Resolve(ref.db, ref.table).status());
-        std::string server = catalog_->LocateTable(ref.table);
-        if (!server.empty()) prep_rtt += Rtt(server);
-      }
-      return Status::OK();
-    };
-    XDB_RETURN_NOT_OK(touch(*stmt));
-    // Thread-scoped count: concurrent sessions sharing the catalog must
-    // each bill exactly their own lazy metadata fetches.
-    report.metadata_roundtrips = GlobalCatalog::ThreadRoundtrips();
-    report.phases.prep =
-        options_.parse_analyze_cost +
-        report.metadata_roundtrips * options_.metadata_roundtrip_cost +
-        prep_rtt;
-    if (spans != nullptr) {
-      int64_t id = spans->StartSpan("prepare");
-      Span* sp = spans->mutable_span(id);
-      sp->duration_seconds = report.phases.prep;
-      sp->Tag("metadata_roundtrips",
-              static_cast<int64_t>(report.metadata_roundtrips));
-      spans->EndSpan(id);
-    }
-
-    // --- Logical optimization (pushdowns + left-deep join ordering). ---
-    Planner planner(catalog_.get(), options_.planner);
-    XDB_ASSIGN_OR_RETURN(plan, planner.Plan(*stmt));
-    // Stamp planning-time estimates once on the logical plan: every clone —
-    // failover rounds and the cached master copy alike — then carries the
-    // same est_rows/est_width annotations, so a plan-cache hit replays
-    // bit-identical estimates. Write-only metadata; no modelled cost.
-    Estimator().StampEstimates(*plan);
-    size_t njoins = stmt->from.size() > 0 ? stmt->from.size() - 1 : 0;
-    report.phases.lopt = options_.lopt_base_cost +
-                         options_.lopt_per_join_cost *
-                             static_cast<double>(njoins);
-    if (spans != nullptr) {
-      int64_t id = spans->StartSpan("logical-optimize");
-      spans->mutable_span(id)->duration_seconds = report.phases.lopt;
-      spans->EndSpan(id);
-    }
-  }
-
-  // Preparation + logical optimization count against the deadline; failing
-  // here (rather than deep in a replan round) is the fail-fast path.
-  fed_->ChargeBudget(report.phases.prep + report.phases.lopt);
-  if (budget_exhausted()) return deadline_status("during preparation");
-
-  // --- Plan annotation + delegation + execution, with failover. ---
-  // A retryable failure (node down, link dead) excludes the implicated
-  // placement/link and re-runs annotation + deployment on a fresh clone of
-  // the logical plan, up to max_failover_alternates alternate rounds. The
-  // recovery trail of failed rounds accumulates into the final trace.
-  RunTrace accum;  // recovery observed across failed rounds
-  Status final_status = Status::OK();
-  bool deadline_hit = false;  // deadline ended the failover loop
-  const int max_rounds = std::max(0, options_.max_failover_alternates);
-  TimingModel model(fed_, TimingOptions{options_.scale_up});
-
-  // Once a round's trace is final, give its transfer spans the modelled
-  // wire seconds (spans carry the record id; ids restart every round, so
-  // only spans with id >= `begin_id` are matched against `tr`). The window
-  // is a span *id*, not an index: under ring-buffer retention ids are
-  // stable while positions shift.
-  auto attach_transfer_seconds = [&](int64_t begin_id, const RunTrace& tr) {
-    if (spans == nullptr) return;
-    for (Span& s : spans->mutable_spans()) {
-      if (s.id < begin_id || s.record_id < 0) continue;
-      size_t idx = static_cast<size_t>(s.record_id);
-      if (idx < tr.transfers.size() &&
-          tr.transfers[idx].id == s.record_id) {
-        s.duration_seconds = model.TransferSeconds(tr.transfers[idx]);
-      }
-    }
-  };
-
-  for (int round = 0;; ++round) {
-    const int64_t round_span_begin =
-        spans != nullptr ? spans->next_id() : 0;
-    SpanGuard round_span(spans, "round " + std::to_string(round));
-    // Hit path, round 0: the cached clone is already annotated — no
-    // consultations, no "annotate" span. Failover rounds (and the miss
-    // path) annotate a fresh clone against the current constraints; for a
-    // cached plan the annotator simply overwrites the stale placements.
-    PlanPtr round_plan =
-        cache_hit ? cached_plan->Clone() : plan->Clone();
-    const bool need_annotate =
-        !cache_hit || round > 0 || !constraints.empty();
-    if (need_annotate) {
-      Annotator annotator(connector_ptrs_, &fed_->network(),
-                          static_cast<MovementPolicy>(
-                              options_.movement_policy),
-                          constraints.empty() ? nullptr : &constraints);
-      Status ann_st;
-      {
-        SpanGuard ann_span(spans, "annotate");
-        ann_st = annotator.Annotate(round_plan.get());
-        if (Span* sp = ann_span.span()) {
-          sp->duration_seconds =
-              annotator.consultations() * options_.consultation_cost;
-          sp->Tag("consultations",
-                  static_cast<int64_t>(annotator.consultations()));
-        }
-      }
-      report.consultations += annotator.consultations();
-      // Each consultation is one round trip to one of the two candidate
-      // DBMSes.
-      report.phases.ann +=
-          annotator.consultations() * options_.consultation_cost;
-      fed_->ChargeBudget(annotator.consultations() *
-                         options_.consultation_cost);
-      if (!ann_st.ok()) {
-        // Exclusions emptied the candidate set (kUnavailable) or the plan
-        // is unannotatable outright — nothing left to try either way.
-        final_status = std::move(ann_st);
-        break;
-      }
-      if (budget_exhausted()) {
-        deadline_hit = true;
-        final_status = deadline_status("during plan annotation");
-        break;
-      }
-      // First successful unconstrained annotation: this plan is the one
-      // worth caching (constrained rounds bake failover exclusions into
-      // their placements — never cache those).
-      if (!cache_hit && plan_cache_ != nullptr && round == 0 &&
-          constraints.empty()) {
-        int evicted =
-            plan_cache_->Insert(norm_sql, fingerprint, round_plan->Clone());
-        CountPlanCacheEvictions(evicted);  // the miss was counted at lookup
-      }
-    }
-
-    // Later rounds get their own name prefix: a fault window may have left
-    // the previous round's rollback incomplete, and redeployment must not
-    // collide with relations still awaiting cleanup.
-    std::string prefix = round == 0
-                             ? ctx.ddl_prefix
-                             : ctx.ddl_prefix + "_r" + std::to_string(round);
-    Result<DelegationPlan> dplan_r =
-        FinalizePlan(*round_plan, query_id, prefix);
-    if (!dplan_r.ok()) {
-      final_status = dplan_r.status();
-      break;
-    }
-    DelegationPlan dplan = std::move(dplan_r).value();
-    const std::string round_root = dplan.tasks.back().server;
-
-    DelegationEngine engine(connector_ptrs_, fed_);
-    fed_->BeginRun(round_root);
-    std::optional<Result<XdbQuery>> deploy_result;
-    {
-      SpanGuard deploy_span(spans, "deploy");
-      if (Span* sp = deploy_span.span()) {
-        sp->Tag("tasks", static_cast<int64_t>(dplan.tasks.size()));
-        sp->Tag("root", round_root);
-      }
-      deploy_result.emplace(engine.Deploy(&dplan));
-    }
-    Result<XdbQuery>& xdb_query = *deploy_result;
-    Status run_status = xdb_query.status();
-    if (xdb_query.ok()) {
-      // The client triggers the in-situ execution with the XDB query.
-      DbmsConnector* root_dc = connector_ptrs_.at(xdb_query->server);
-      int64_t exec_span_id = -1;
-      std::optional<Result<TablePtr>> exec_result;
-      {
-        SpanGuard exec_span(spans, "execute");
-        exec_span_id = exec_span.id();
-        if (Span* sp = exec_span.span()) sp->Tag("server", xdb_query->server);
-        exec_result.emplace(root_dc->RunQuery(xdb_query->sql));
-      }
-      Result<TablePtr>& result = *exec_result;
-      run_status = result.status();
-      // Root triggering is a single attempt (retry lives below in the
-      // fetch/DDL paths); its verdict still feeds the health tracker —
-      // except when the failure bubbled up from a foreign fetch, which
-      // already charged the remote it named. Blaming the (healthy) root
-      // too would trip every breaker on the path of one sick server.
-      const bool remote_attributed =
-          !run_status.ok() && run_status.message().find("foreign fetch of ") !=
-                                  std::string::npos;
-      if (!remote_attributed) {
-        fed_->RecordHealthOutcome(xdb_query->server, 1, run_status);
-      }
-      if (result.ok()) {
-        // The final result is the only data that leaves the federation.
-        const bool enc_wire =
-            fed_->wire_format() == WireFormat::kColumnar;
-        const double result_raw =
-            static_cast<double>((*result)->SerializedSize());
-        const double result_bytes =
-            enc_wire
-                ? std::min(result_raw, static_cast<double>(
-                                           (*result)->EncodedSerializedSize()))
-                : result_raw;
-        fed_->network().RecordTransfer(xdb_query->server,
-                                       options_.middleware_node, result_bytes,
-                                       1, enc_wire);
-        report.trace = fed_->FinishRun();
-
-        // Fold the failed rounds' recovery trail into the winning trace.
-        report.trace.retries.insert(report.trace.retries.begin(),
-                                    accum.retries.begin(),
-                                    accum.retries.end());
-        report.trace.total_backoff_seconds += accum.total_backoff_seconds;
-        report.trace.injected_delay_seconds += accum.injected_delay_seconds;
-        report.trace.wasted_attempt_seconds += accum.wasted_attempt_seconds;
-        // Compute spent serving failed rounds' transfers really happened on
-        // those servers — fold it into the per-server totals (it is already
-        // part of wasted_attempt_seconds on the time side).
-        for (const auto& [srv, compute] : accum.per_server) {
-          report.trace.per_server[srv].Add(compute);
-        }
-        report.trace.replan_rounds = round;
-        report.trace.excluded_servers.assign(
-            constraints.excluded_servers.begin(),
-            constraints.excluded_servers.end());
-        if (round > 0 && report.trace.recovery_action != "failed" &&
-            report.trace.recovery_action != "degraded") {
-          report.trace.recovery_action = "replanned";
-        }
-
-        // Completeness over the winning round only: a fragment lost in a
-        // *failed* round was re-fetched by the replan, so it doesn't make
-        // the result incomplete. Fragment-count based — est_rows of lost
-        // fragments are estimates, not ground truth.
-        report.completeness.lost = report.trace.lost_fragments;
-        report.completeness.complete = report.trace.lost_fragments.empty();
-        if (!report.completeness.complete) {
-          double delivered = 0;
-          for (const auto& t : report.trace.transfers) {
-            if (!t.failed) delivered += 1;
-          }
-          const double lost =
-              static_cast<double>(report.trace.lost_fragments.size());
-          report.completeness.completeness_fraction =
-              delivered / (delivered + lost);
-        }
-
-        report.ddl_statements = engine.ddl_count();
-        report.ddl_log = engine.ddl_log();
-        report.exec_timing = model.ModelRun(report.trace);
-        attach_transfer_seconds(round_span_begin, report.trace);
-        if (spans != nullptr && exec_span_id >= 0) {
-          spans->mutable_span(exec_span_id)->duration_seconds =
-              report.exec_timing.total;
-        }
-        fed_->CountReplanRounds(round);
-        report.phases.exec =
-            report.exec_timing.total +
-            report.ddl_statements * options_.ddl_roundtrip_cost +
-            report.trace.total_backoff_seconds +
-            report.trace.injected_delay_seconds +
-            report.trace.wasted_attempt_seconds;
-
-        report.result = std::move(result).value();
-        report.plan = std::move(dplan);
-        report.xdb_query = *xdb_query;
-        if (round > 0) {
-          // Failover changed the placement landscape; retire every cached
-          // plan built before it by advancing the epoch.
-          placement_epoch_.fetch_add(1, std::memory_order_acq_rel);
-        }
-
-        if (options_.cleanup_after_query) {
-          XDB_RETURN_NOT_OK(engine.Cleanup());
-        }
-        report.wall_seconds = NowSeconds() - wall_start;
-        return report;
-      }
-      // Execution failed after a successful deploy: roll the cascade back
-      // (Deploy-time failures already rolled themselves back).
-      (void)engine.Cleanup();
-      fed_->NoteRecovery("rolled-back");
-    }
-
-    // This round is lost. Bank its recovery trail and its modelled cost.
-    RunTrace failed = fed_->FinishRun();
-    attach_transfer_seconds(round_span_begin, failed);
-    accum.retries.insert(accum.retries.end(), failed.retries.begin(),
-                         failed.retries.end());
-    accum.total_backoff_seconds += failed.total_backoff_seconds;
-    accum.injected_delay_seconds += failed.injected_delay_seconds;
-    // Per-server compute of the lost round: the servers really did that
-    // work to serve the round's transfers, so it stays on their totals.
-    for (const auto& [srv, compute] : failed.per_server) {
-      accum.per_server[srv].Add(compute);
-    }
-    const double round_cost = model.ModelRun(failed).total +
-                              engine.ddl_count() * options_.ddl_roundtrip_cost;
-    accum.wasted_attempt_seconds += round_cost;
-    // Backoff and injected delay already charged themselves as they
-    // happened; the round's modelled execution time charges here.
-    fed_->ChargeBudget(round_cost);
-
-    if (!run_status.IsRetryable() || round >= max_rounds) {
-      final_status = std::move(run_status);
-      break;
-    }
-    if (budget_exhausted()) {
-      // Fail fast with kTimeout instead of burning further replan rounds
-      // the deadline can no longer pay for.
-      deadline_hit = true;
-      final_status = deadline_status(
-          "after " + std::to_string(round + 1) + " round(s): " +
-          run_status.message());
-      break;
-    }
-
-    // Decide what to exclude for the next round, preferring the injector's
-    // precise fault site, then the engine's failure site, then the round's
-    // root server. No new exclusion means no way to make progress.
-    bool progressed = false;
-    const FaultInjector* inj = fed_->fault_injector();
-    // Snapshot, not live reference: under concurrent serving another
-    // session's fault may land between reads.
-    std::optional<FaultEvent> fault;
-    if (inj != nullptr) fault = inj->LastFaultSnapshot();
-    if (fault.has_value() && fault->kind == FaultKind::kLinkDrop &&
-        !fault->peer.empty()) {
-      progressed = constraints.blocked_links
-                       .insert(PlacementConstraints::LinkKey(fault->server,
-                                                             fault->peer))
-                       .second;
-    }
-    if (!progressed) {
-      std::string culprit;
-      if (engine.last_failure().has_value()) {
-        culprit = engine.last_failure()->server;
-      } else if (fault.has_value()) {
-        culprit = fault->server;
-      } else {
-        culprit = round_root;
-      }
-      if (!culprit.empty()) {
-        progressed = constraints.excluded_servers.insert(culprit).second;
-      }
-    }
-    if (!progressed) {
-      final_status = std::move(run_status);
-      break;
-    }
-    accum.replan_rounds = round + 1;
-  }
-
-  // Every alternate exhausted (or the failure was terminal). Preserve the
-  // recovery trail and name what was unavailable.
-  accum.recovery_action = "failed";
-  accum.excluded_servers.assign(constraints.excluded_servers.begin(),
-                                constraints.excluded_servers.end());
-  fed_->CountReplanRounds(accum.replan_rounds);
-  if (!constraints.empty()) {
-    // Even a failed query learned that some placements are bad — cached
-    // plans that might route through them must not be served again.
-    placement_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  *fail_trace = std::move(accum);
-  // A deadline timeout surfaces as kTimeout untouched — callers (and
-  // tests) distinguish "out of budget" from "ran out of alternates".
-  if (!deadline_hit && final_status.IsRetryable() && !constraints.empty()) {
-    std::string unavailable;
-    for (const auto& s : constraints.excluded_servers) {
-      unavailable += (unavailable.empty() ? "" : ", ") + s;
-    }
-    for (const auto& [a, b] : constraints.blocked_links) {
-      unavailable +=
-          (unavailable.empty() ? "" : ", ") + a + "<->" + b;
-    }
-    return Status::Unavailable(
-        "query failed after " + std::to_string(fail_trace->replan_rounds) +
-        " failover round(s); unavailable: [" + unavailable +
-        "]: " + final_status.message());
-  }
-  return final_status;
 }
 
 Result<TablePtr> XdbSystem::ExplainAnalyze(const std::string& sql) {
@@ -1107,7 +419,7 @@ Result<TablePtr> XdbSystem::ExplainAnalyze(const std::string& sql,
       emit(buf);
     }
     for (const auto& line :
-         prof.Render(server->profile(), options_.scale_up)) {
+         prof.Render(server->profile(), options().scale_up)) {
       emit("  " + line);
     }
   }

@@ -148,7 +148,7 @@ TEST_F(DegradationFixture, DeadlineFailsFastInsteadOfFailoverBurn) {
   auto healed = xdb.Query(kJoinSql);
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
   EXPECT_NE(healed->xdb_query.server, victim);
-  EXPECT_EQ(healed->trace.recovery_action, "replanned");
+  EXPECT_EQ(healed->trace.recovery_action, RecoveryAction::kReplanned);
   EXPECT_GE(injector_.faults_fired(), fired_with_deadline);
   ExpectClean();
 }
@@ -217,7 +217,7 @@ TEST_F(DegradationFixture, PartialResultSubstitutesLostNonRootFragment) {
     EXPECT_TRUE(strict->completeness.complete);
     EXPECT_EQ(strict->result->ToDisplayString(100),
               probe->result->ToDisplayString(100));
-    EXPECT_EQ(strict->trace.recovery_action, "replanned");
+    EXPECT_EQ(strict->trace.recovery_action, RecoveryAction::kReplanned);
   }
   ExpectClean();
 
@@ -238,7 +238,7 @@ TEST_F(DegradationFixture, PartialResultSubstitutesLostNonRootFragment) {
   EXPECT_EQ(loss.consumer, root);
   EXPECT_EQ(loss.reason, "node-down");
   EXPECT_GT(loss.est_rows, 0.0);
-  EXPECT_EQ(r->trace.recovery_action, "degraded");
+  EXPECT_EQ(r->trace.recovery_action, RecoveryAction::kDegraded);
   ASSERT_EQ(r->trace.lost_fragments.size(), 1u);
   // The inner join above the empty fragment is correctly empty — the
   // surviving side still executed.
@@ -406,7 +406,7 @@ TEST_F(DegradationFixture, TrippedBreakerRoutesPlanningAroundSickServer) {
 
   auto tripping = xdb.Query(kJoinSql);
   ASSERT_TRUE(tripping.ok()) << tripping.status().ToString();
-  EXPECT_EQ(tripping->trace.recovery_action, "replanned");
+  EXPECT_EQ(tripping->trace.recovery_action, RecoveryAction::kReplanned);
   ASSERT_EQ(health.state(victim), BreakerState::kOpen);
   EXPECT_EQ(health.trips(victim), 1);
   EXPECT_EQ(health.state(root), BreakerState::kClosed);
@@ -420,7 +420,7 @@ TEST_F(DegradationFixture, TrippedBreakerRoutesPlanningAroundSickServer) {
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_NE(routed->xdb_query.server, victim);
   EXPECT_TRUE(routed->trace.retries.empty());
-  EXPECT_EQ(routed->trace.recovery_action, "none");
+  EXPECT_EQ(routed->trace.recovery_action, RecoveryAction::kNone);
   EXPECT_EQ(routed->trace.replan_rounds, 0);
   EXPECT_EQ(injector_.faults_fired(), fired_before);
   ExpectClean();
@@ -639,17 +639,14 @@ TEST_F(DegradationFixture, MediatorCleansUpUnderBurstyLinkFaultsAndBreakers) {
 }
 
 TEST_F(DegradationFixture, MediatorHonorsDeadlineAndPartialOptions) {
-  auto probe_system = std::make_unique<MediatorSystem>(
-      &fed_, MediatorKind::kGarlic);
-  auto probe = probe_system->Query(kJoinSql);
+  MediatorSystem garlic(&fed_, MediatorKind::kGarlic);
+  auto probe = garlic.Query(kJoinSql);
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
 
   // A deadline smaller than planning fails fast with kTimeout.
-  MediatorOptions strict;
+  QueryContext strict;
   strict.deadline_seconds = 1e-9;
-  strict.mediator_node = "garlic_strict";
-  MediatorSystem impatient(&fed_, MediatorKind::kGarlic, strict);
-  auto timed_out = impatient.Query(kJoinSql);
+  auto timed_out = garlic.Query(kJoinSql, strict);
   ASSERT_FALSE(timed_out.ok());
   EXPECT_TRUE(timed_out.status().IsTimeout());
   ExpectClean();
@@ -662,16 +659,31 @@ TEST_F(DegradationFixture, MediatorHonorsDeadlineAndPartialOptions) {
   spec.kind = FaultKind::kTransientError;
   injector_.AddFault(spec);
 
-  MediatorOptions lenient;
+  QueryContext lenient;
   lenient.allow_partial = true;
-  lenient.mediator_node = "garlic_lenient";
-  MediatorSystem tolerant(&fed_, MediatorKind::kGarlic, lenient);
-  auto r = tolerant.Query(kJoinSql);
+  auto r = garlic.Query(kJoinSql, lenient);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->partial());
   ASSERT_FALSE(r->completeness.lost.empty());
   EXPECT_EQ(r->completeness.lost[0].server, "d2");
-  EXPECT_EQ(r->trace.recovery_action, "degraded");
+  EXPECT_EQ(r->trace.recovery_action, RecoveryAction::kDegraded);
+  // The relations deployed under the mediator's own namespace are gone.
+  ExpectClean();
+
+  // Without the context the same mediator fails the query outright — and
+  // still records the recovery trail of the lost fetch in its history.
+  QueryLog log;
+  fed_.SetQueryLog(&log);
+  auto strict_partial = garlic.Query(kJoinSql);
+  fed_.SetQueryLog(nullptr);
+  ASSERT_FALSE(strict_partial.ok());
+  EXPECT_TRUE(strict_partial.status().IsRetryable());
+  const std::vector<QueryStats> history = log.SnapshotEntries();
+  ASSERT_EQ(history.size(), 1u);
+  EXPECT_EQ(history[0].system, "garlic");
+  EXPECT_FALSE(history[0].ok);
+  EXPECT_EQ(history[0].recovery_action, RecoveryAction::kFailed);
+  EXPECT_GT(history[0].retries, 0);
   ExpectClean();
 }
 

@@ -73,12 +73,12 @@ TEST_F(DelegationFixture, GlobalCatalogDiscoversAllTables) {
 
 TEST_F(DelegationFixture, GlobalCatalogMetadataIsCached) {
   GlobalCatalog catalog(dc_ptrs_);
-  catalog.ResetCounters();
+  GlobalCatalog::ResetThreadRoundtrips();
   ASSERT_TRUE(catalog.Resolve("", "big").ok());
-  int first = catalog.metadata_roundtrips();
+  int first = GlobalCatalog::ThreadRoundtrips();
   EXPECT_GT(first, 0);
   ASSERT_TRUE(catalog.Resolve("", "big").ok());
-  EXPECT_EQ(catalog.metadata_roundtrips(), first);  // cache hit, no refetch
+  EXPECT_EQ(GlobalCatalog::ThreadRoundtrips(), first);  // cache hit
 }
 
 TEST_F(DelegationFixture, GlobalCatalogRejectsWrongQualifier) {

@@ -196,7 +196,7 @@ TEST_F(FailureFixture, RetriesExhaustedSurfaceUnavailableAndLeaveNoOrphans) {
   ExpectClean();
 
   const RunTrace& trace = xdb.last_trace();
-  EXPECT_EQ(trace.recovery_action, "failed");
+  EXPECT_EQ(trace.recovery_action, RecoveryAction::kFailed);
   ASSERT_FALSE(trace.retries.empty());
   for (const auto& ev : trace.retries) {
     EXPECT_EQ(ev.op, "ddl");
@@ -222,7 +222,7 @@ TEST_F(FailureFixture, MidFetchFaultExhaustionCleansUpEverywhere) {
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsUnavailable());
   ExpectClean();
-  EXPECT_EQ(xdb.last_trace().recovery_action, "failed");
+  EXPECT_EQ(xdb.last_trace().recovery_action, RecoveryAction::kFailed);
   EXPECT_FALSE(xdb.last_trace().retries.empty());
   fed_.SetFaultInjector(nullptr);
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <tuple>
@@ -140,6 +141,49 @@ TEST(FaultInjectorTest, WindowEveryNthAndNodeDownTriggers) {
   EXPECT_TRUE(inj.OnOperation("y", FaultOp::kQuery).ok());
 }
 
+// A fired fault's status names where it struck, through WithContext too,
+// and its delay comes back from the same call.
+TEST(FaultInjectorTest, FiredFaultsCarryTheirSiteAndDelay) {
+  FaultInjector inj;
+  FaultSpec transient;
+  transient.server = "x";
+  transient.op = FaultOp::kFetch;
+  transient.kind = FaultKind::kTransientError;
+  transient.delay_seconds = 0.5;
+  transient.every_nth = 2;
+  inj.AddFault(transient);
+  double delay = 0;
+  Status ok = inj.OnOperation("x", FaultOp::kFetch, "y", &delay);
+  EXPECT_TRUE(ok.ok());
+  EXPECT_EQ(ok.site(), nullptr);
+  EXPECT_DOUBLE_EQ(delay, 0.0);
+  Status st = inj.OnOperation("x", FaultOp::kFetch, "y", &delay)
+                  .WithContext("foreign fetch of x.v by y");
+  ASSERT_NE(st.site(), nullptr);
+  EXPECT_EQ(st.site()->server, "x");
+  EXPECT_EQ(st.site()->peer, "y");
+  EXPECT_EQ(st.site()->op, FaultOp::kFetch);
+  EXPECT_FALSE(st.site()->link_drop);
+  EXPECT_TRUE(st.site()->on_fetch_path());
+  EXPECT_DOUBLE_EQ(delay, 0.5);
+
+  FaultSpec drop;
+  drop.server = "x";
+  drop.peer = "y";
+  drop.op = FaultOp::kTransfer;
+  drop.kind = FaultKind::kLinkDrop;
+  inj.AddFault(drop);
+  Status dropped = inj.OnOperation("x", FaultOp::kTransfer, "y");
+  ASSERT_NE(dropped.site(), nullptr);
+  EXPECT_TRUE(dropped.site()->link_drop);
+
+  inj.MarkNodeDown("z");
+  Status down = inj.OnOperation("z", FaultOp::kDdl);
+  ASSERT_NE(down.site(), nullptr);
+  EXPECT_EQ(down.site()->server, "z");
+  EXPECT_FALSE(down.site()->on_fetch_path());
+}
+
 TEST(FaultInjectorTest, ProbabilisticTriggersAreSeedReproducible) {
   auto pattern = [](uint64_t seed) {
     FaultInjector inj(seed);
@@ -240,7 +284,7 @@ TEST(FaultFreePathTest, AttachedIdleInjectorIsBitIdentical) {
 
   EXPECT_TRUE(rb->trace.retries.empty());
   EXPECT_EQ(rb->trace.replan_rounds, 0);
-  EXPECT_EQ(rb->trace.recovery_action, "none");
+  EXPECT_EQ(rb->trace.recovery_action, RecoveryAction::kNone);
   EXPECT_DOUBLE_EQ(rb->trace.total_backoff_seconds, 0.0);
   EXPECT_DOUBLE_EQ(rb->trace.injected_delay_seconds, 0.0);
   EXPECT_DOUBLE_EQ(rb->trace.wasted_attempt_seconds, 0.0);
@@ -271,7 +315,7 @@ TEST_F(FaultFixture, DdlTransientFaultRetriesUntilSuccess) {
   EXPECT_TRUE(ev.succeeded);
   EXPECT_DOUBLE_EQ(ev.backoff_seconds, 0.05 + 0.10);
   EXPECT_DOUBLE_EQ(r->trace.total_backoff_seconds, 0.15);
-  EXPECT_EQ(r->trace.recovery_action, "retried");
+  EXPECT_EQ(r->trace.recovery_action, RecoveryAction::kRetried);
   EXPECT_EQ(r->trace.replan_rounds, 0);
   ExpectClean();
 }
@@ -319,7 +363,7 @@ TEST_F(FaultFixture, FetchLinkDropRetriesAndAccountsWastedBytes) {
   EXPECT_EQ(r->trace.retries[0].op, "fetch");
   EXPECT_EQ(r->trace.retries[0].attempts, 2);
   EXPECT_TRUE(r->trace.retries[0].succeeded);
-  EXPECT_EQ(r->trace.recovery_action, "retried");
+  EXPECT_EQ(r->trace.recovery_action, RecoveryAction::kRetried);
 
   int failed_transfers = 0;
   double wasted = 0;
@@ -363,7 +407,8 @@ TEST_F(FaultFixture, MidDeployFaultAtEveryDdlIndexRollsBackAndRecovers) {
                         << r.status().ToString();
     EXPECT_EQ(r->result->num_rows(), 10u) << "DDL index " << k;
     EXPECT_GE(r->trace.replan_rounds, 1) << "DDL index " << k;
-    EXPECT_EQ(r->trace.recovery_action, "replanned") << "DDL index " << k;
+    EXPECT_EQ(r->trace.recovery_action, RecoveryAction::kReplanned)
+        << "DDL index " << k;
     EXPECT_FALSE(r->trace.retries.empty());
     ExpectClean();
     injector_.RemoveFault(id);
@@ -387,7 +432,7 @@ TEST_F(FaultFixture, FailoverMovesPlacementOffTheFailingRoot) {
   EXPECT_NE(r->xdb_query.server, old_root);
   EXPECT_EQ(r->result->num_rows(), 10u);
   EXPECT_EQ(r->trace.replan_rounds, 1);
-  EXPECT_EQ(r->trace.recovery_action, "replanned");
+  EXPECT_EQ(r->trace.recovery_action, RecoveryAction::kReplanned);
   ASSERT_EQ(r->trace.excluded_servers.size(), 1u);
   EXPECT_EQ(r->trace.excluded_servers[0], old_root);
   ExpectClean();
@@ -403,7 +448,7 @@ TEST_F(FaultFixture, UnrecoverableNodeDownNamesTheDeadNodeAndStaysClean) {
   EXPECT_NE(r.status().message().find("d2"), std::string::npos);
 
   const RunTrace& trace = xdb.last_trace();
-  EXPECT_EQ(trace.recovery_action, "failed");
+  EXPECT_EQ(trace.recovery_action, RecoveryAction::kFailed);
   EXPECT_FALSE(trace.retries.empty());
   ExpectClean();
 
@@ -485,13 +530,48 @@ TEST_F(FaultFixture, CleanupReportsMissingConnectorAndFinishesLater) {
   EXPECT_TRUE(st.IsCatalogError());
   EXPECT_NE(st.message().find("d1"), std::string::npos);
   EXPECT_NE(st.message().find("eng_probe"), std::string::npos);
-  EXPECT_EQ(engine.pending_cleanup(), 1u);
+  EXPECT_EQ(engine.pending_cleanup().size(), 1u);
 
   // Connector restored: a later Cleanup finishes the job.
   engine.connectors_for_test() = saved;
   EXPECT_TRUE(engine.Cleanup().ok());
-  EXPECT_EQ(engine.pending_cleanup(), 0u);
+  EXPECT_EQ(engine.pending_cleanup().size(), 0u);
   ExpectClean();
+}
+
+// A DROP failing after a successful execute leaks a relation, but it does
+// not cost the caller the answer: the result comes back, the winning
+// round's trace stays inspectable, and the leaked relation is listed on it.
+TEST_F(FaultFixture, CleanupFailureAfterExecuteKeepsResultAndListsLeak) {
+  XdbSystem xdb(&fed_);
+  auto probe = xdb.Query(kJoinSql);
+  ASSERT_TRUE(probe.ok());
+  EXPECT_TRUE(probe->trace.leaked_relations.empty());
+
+  fed_.set_retry_policy(RetryPolicy::NoRetry());
+  FaultSpec spec;  // the query's first DROP: its DDL after the deployment
+  spec.op = FaultOp::kDdl;
+  spec.kind = FaultKind::kTransientError;
+  spec.first_attempt = probe->ddl_statements + 1;
+  spec.last_attempt = probe->ddl_statements + 1;
+  injector_.AddFault(spec);
+
+  auto r = xdb.Query(kJoinSql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->result->ToDisplayString(100),
+            probe->result->ToDisplayString(100));
+  ASSERT_EQ(r->trace.leaked_relations.size(), 1u);
+  const auto& [server, relation] = r->trace.leaked_relations[0];
+  const std::vector<std::string> left =
+      fed_.GetServer(server)->TransientRelations();
+  EXPECT_NE(std::find(left.begin(), left.end(), relation), left.end())
+      << server << "." << relation;
+
+  const RunTrace& trace = xdb.last_trace();
+  EXPECT_EQ(trace.leaked_relations, r->trace.leaked_relations);
+  EXPECT_EQ(trace.transfers.size(), probe->trace.transfers.size());
+  EXPECT_DOUBLE_EQ(trace.TotalTransferredBytes(),
+                   probe->trace.TotalTransferredBytes());
 }
 
 TEST_F(FaultFixture, CleanupRetriesRelationsBlockedByAFaultWindow) {
@@ -523,13 +603,13 @@ TEST_F(FaultFixture, CleanupRetriesRelationsBlockedByAFaultWindow) {
   Status st = engine.Cleanup();
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsRetryable());
-  EXPECT_EQ(engine.pending_cleanup(), 1u);
+  EXPECT_EQ(engine.pending_cleanup().size(), 1u);
   EXPECT_TRUE(d1_->HasRelation("eng_probe"));
 
   // Fault window over: the retained ledger entry is dropped after all.
   injector_.RemoveFault(id);
   EXPECT_TRUE(engine.Cleanup().ok());
-  EXPECT_EQ(engine.pending_cleanup(), 0u);
+  EXPECT_EQ(engine.pending_cleanup().size(), 0u);
   ExpectClean();
 }
 

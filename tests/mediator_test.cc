@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/dbms/server.h"
 #include "src/mediator/mediator.h"
 #include "src/timing/timing_model.h"
+#include "src/xdb/xdb.h"
 
 namespace xdb {
 namespace {
@@ -163,6 +168,33 @@ TEST_F(MediatorFixture, MediatorsCoexistOnOneFederation) {
   ASSERT_TRUE(g.ok() && p.ok() && s.ok());
   EXPECT_EQ(g->result->num_rows(), p->result->num_rows());
   EXPECT_EQ(g->result->num_rows(), s->result->num_rows());
+}
+
+// Derived tables go through the same prepare stage as XDB's, so every
+// mediator resolves the subquery's base tables and answers like XDB.
+TEST_F(MediatorFixture, DerivedTableAnswersMatchXdb) {
+  constexpr const char* kDerived =
+      "SELECT t.s FROM (SELECT k, SUM(w) AS s FROM a GROUP BY k) t, c "
+      "WHERE t.k = c.k";
+  auto sorted_values = [](const Table& t) {
+    std::vector<std::string> out;
+    for (const Row& row : t.rows()) out.push_back(row[0].ToString());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  XdbSystem xdb(&fed_);
+  auto want = xdb.Query(kDerived);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(want->result->num_rows(), 200u);
+  for (MediatorKind kind :
+       {MediatorKind::kGarlic, MediatorKind::kPresto, MediatorKind::kSclera}) {
+    MediatorSystem mediator(&fed_, kind);
+    auto got = mediator.Query(kDerived);
+    ASSERT_TRUE(got.ok()) << MediatorKindToString(kind) << ": "
+                          << got.status().ToString();
+    EXPECT_EQ(sorted_values(*got->result), sorted_values(*want->result))
+        << MediatorKindToString(kind);
+  }
 }
 
 TEST_F(MediatorFixture, HeterogeneousSourcesSlowTheMediatorToo) {

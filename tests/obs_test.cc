@@ -203,7 +203,7 @@ TEST(MetricsTest, RegistryIsIdempotentAndExposesPrometheusText) {
   Histogram* h = reg.GetHistogram("xdb_test_bytes", {10, 100});
   h->Observe(42);
 
-  std::string text = reg.TextExposition();
+  std::string text = reg.ExposeText();
   EXPECT_NE(text.find("# HELP xdb_test_total a test counter"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE xdb_test_total counter"), std::string::npos);
@@ -421,7 +421,7 @@ TEST(QuerySpansTest, FederationMetricsMatchTheRunTrace) {
   EXPECT_EQ(h->Count(),
             static_cast<int64_t>(r->trace.transfers.size()));
 
-  std::string text = reg.TextExposition();
+  std::string text = reg.ExposeText();
   EXPECT_NE(text.find("xdb_federation_fetches_total"), std::string::npos);
   EXPECT_NE(text.find("xdb_network_bytes_total"), std::string::npos);
   fed.SetMetricsRegistry(nullptr);
@@ -532,7 +532,7 @@ TEST(FaultObservabilityTest, LastTraceSurvivesMultiRoundFailover) {
   ASSERT_FALSE(r.ok());
 
   const RunTrace& trace = xdb.last_trace();
-  EXPECT_EQ(trace.recovery_action, "failed");
+  EXPECT_EQ(trace.recovery_action, RecoveryAction::kFailed);
   EXPECT_GE(trace.replan_rounds, 1);
   EXPECT_FALSE(trace.excluded_servers.empty());
   // The banked rounds kept their per-server compute and their wasted cost
@@ -548,7 +548,7 @@ TEST(FaultObservabilityTest, LastTraceSurvivesMultiRoundFailover) {
   inj.Clear();
   auto ok = xdb.Query(kJoinSql);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(xdb.last_trace().recovery_action, "none");
+  EXPECT_EQ(xdb.last_trace().recovery_action, RecoveryAction::kNone);
   EXPECT_EQ(xdb.last_trace().replan_rounds, 0);
   EXPECT_TRUE(xdb.last_trace().retries.empty());
 }

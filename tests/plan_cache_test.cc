@@ -245,7 +245,7 @@ TEST_F(PlanCacheE2E, FailoverReplanningBumpsEpochAndInvalidates) {
 
   auto r = xdb.Query(kJoinSql);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->trace.recovery_action, "replanned");
+  EXPECT_EQ(r->trace.recovery_action, RecoveryAction::kReplanned);
   // ...even though its cache lookup hit (the cached plan routed through
   // the now-dead root, which is exactly why the epoch must advance).
   EXPECT_GT(xdb.placement_epoch(), epoch0);

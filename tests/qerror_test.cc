@@ -298,7 +298,7 @@ TEST(QErrorProvenanceTest, ReplannedQueriesReportTheExecutedPlansEstimates) {
   auto report = xdb.Query(kJoinSql);
   ASSERT_TRUE(report.ok());
   ASSERT_GE(report->trace.replan_rounds, 1);
-  EXPECT_EQ(report->trace.recovery_action, "replanned");
+  EXPECT_EQ(report->trace.recovery_action, RecoveryAction::kReplanned);
   ASSERT_FALSE(report->trace.estimates.empty());
   // Every ledger record restates a transfer the *winning* round delivered;
   // the abandoned round's transfers left no estimate records behind.

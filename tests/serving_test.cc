@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <future>
 #include <map>
 #include <thread>
@@ -343,6 +344,113 @@ TEST_F(ServingFixture, SessionAndGaugeMetricsExported) {
   EXPECT_EQ(metrics.GetGauge("xdb_active_sessions")->Value(), 0.0);
   EXPECT_EQ(metrics.GetCounter("xdb_sessions_opened_total")->Value(), 2.0);
   fed_.SetMetricsRegistry(nullptr);
+}
+
+// --- Per-query failure attribution under concurrency ---
+
+// Two sessions over disjoint server pairs, each hitting fetch faults on its
+// own producers at the same time. Failover exclusions and injected delay
+// come back from each query's own fault sites, so neither session may blame
+// (or be charged for) a server only the other one touched.
+TEST(ServingFailover, ConcurrentSessionsAttributeOnlyTheirOwnFaults) {
+  struct Tenant {
+    std::string left, right, sql;
+    double delay;  // each fired fault's modelled delay; distinct per tenant
+  };
+  const Tenant tenants[2] = {
+      {"d1", "d2", "SELECT t1.b, t2.c FROM t1, t2 WHERE t1.a = t2.a", 0.75},
+      {"d3", "d4", "SELECT t3.b, t4.c FROM t3, t4 WHERE t3.a = t4.a", 64.0},
+  };
+  Federation fed;
+  fed.SetNetwork(Network::Lan({"d1", "d2", "d3", "d4"}));
+  for (const Tenant& t : tenants) {
+    const std::string l = "t" + t.left.substr(1);
+    const std::string r = "t" + t.right.substr(1);
+    auto lt = std::make_shared<Table>(
+        Schema({{"a", TypeId::kInt64}, {"b", TypeId::kInt64}}));
+    auto rt = std::make_shared<Table>(
+        Schema({{"a", TypeId::kInt64}, {"c", TypeId::kInt64}}));
+    for (int i = 0; i < 30; ++i) {
+      lt->AppendRow({Value::Int64(i), Value::Int64(i * 3)});
+      rt->AppendRow({Value::Int64(i % 15), Value::Int64(i * 10)});
+    }
+    ASSERT_TRUE(fed.AddServer(t.left, EngineProfile::Postgres())
+                    ->CreateBaseTable(l, lt)
+                    .ok());
+    ASSERT_TRUE(fed.AddServer(t.right, EngineProfile::MariaDb())
+                    ->CreateBaseTable(r, rt)
+                    .ok());
+  }
+
+  // Every second fetch from either of a tenant's servers fails, with no
+  // in-place retry: the round is lost and failover excludes the server the
+  // failure names. The per-spec counters only advance on the tenant's own
+  // fetches, so each session's sequence is deterministic.
+  FaultInjector injector(7);
+  for (const Tenant& t : tenants) {
+    for (const std::string& server : {t.left, t.right}) {
+      FaultSpec spec;
+      spec.server = server;
+      spec.op = FaultOp::kFetch;
+      spec.kind = FaultKind::kTransientError;
+      spec.every_nth = 2;
+      spec.delay_seconds = t.delay;
+      injector.AddFault(spec);
+    }
+  }
+  fed.SetFaultInjector(&injector);
+  fed.set_retry_policy(RetryPolicy::NoRetry());
+
+  // One system per session, so each thread can read its own last_trace()
+  // after a failed query too; the federation and injector are shared.
+  // Implicit movement runs every fetch inside the root's query: no failed
+  // DDL names a server, so the culprit comes from the fetch site alone.
+  XdbOptions opts;
+  opts.movement_policy = 1;
+  XdbSystem systems[2] = {XdbSystem(&fed, opts), XdbSystem(&fed, opts)};
+  constexpr int kPairs = 60;
+  struct Outcome {
+    int ok = 0, replanned = 0, misattributed = 0, mischarged = 0;
+  };
+  Outcome outcomes[2];
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      const Tenant& t = tenants[i];
+      Outcome& out = outcomes[i];
+      SessionManager manager(&systems[i]);
+      auto session = manager.OpenSession();
+      for (int q = 0; q < kPairs; ++q) {
+        out.ok += session->Query(t.sql).ok() ? 1 : 0;
+        const RunTrace& trace = systems[i].last_trace();
+        if (trace.replan_rounds > 0) ++out.replanned;
+        for (const auto& s : trace.excluded_servers) {
+          if (s != t.left && s != t.right) ++out.misattributed;
+        }
+        // A whole number of this tenant's own fault delays. Any of the
+        // other tenant's delays breaks that: 64 is not a multiple of 0.75,
+        // and three rounds of 0.75 stay far below 64.
+        const double delay = trace.injected_delay_seconds;
+        if (std::fmod(delay, t.delay) != 0.0 ||
+            (i == 0 && delay >= tenants[1].delay)) {
+          ++out.mischarged;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(tenants[i].sql);
+    EXPECT_GT(outcomes[i].ok, kPairs / 2);
+    EXPECT_GT(outcomes[i].replanned, 0);
+    EXPECT_EQ(outcomes[i].misattributed, 0);
+    EXPECT_EQ(outcomes[i].mischarged, 0);
+  }
+  for (const char* server : {"d1", "d2", "d3", "d4"}) {
+    EXPECT_TRUE(fed.GetServer(server)->TransientRelations().empty());
+  }
+  fed.SetFaultInjector(nullptr);
 }
 
 // --- QueryLog drift detection (ISSUE 6 satellite) ---

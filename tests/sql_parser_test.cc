@@ -174,6 +174,23 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseStatement("SELECT a FROM t extra garbage ,").ok());
 }
 
+TEST(ParserTest, DistinctIsRejectedNotIgnored) {
+  for (const char* q : {"SELECT DISTINCT k FROM t",
+                        "select distinct k, w FROM db1.t WHERE w > 1"}) {
+    auto r = ParseSelect(q);
+    ASSERT_FALSE(r.ok()) << q;
+    EXPECT_EQ(r.status().code(), StatusCode::kNotImplemented) << q;
+    EXPECT_NE(r.status().message().find("DISTINCT"), std::string::npos) << q;
+  }
+  // Through a derived table and through EXPLAIN as well.
+  EXPECT_EQ(ParseSelect("SELECT x.k FROM (SELECT DISTINCT k FROM t) x")
+                .status()
+                .code(),
+            StatusCode::kNotImplemented);
+  EXPECT_EQ(ParseStatement("EXPLAIN SELECT DISTINCT k FROM t").status().code(),
+            StatusCode::kNotImplemented);
+}
+
 }  // namespace
 }  // namespace sql
 }  // namespace xdb

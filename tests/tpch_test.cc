@@ -143,6 +143,13 @@ struct SystemCase {
   int td;
 };
 
+// Prints "xdb/TD1". CTest names parameterized cases after the printed
+// parameter, and gtest's default byte dump of this struct shows the
+// literal's address and the padding, which change from run to run.
+void PrintTo(const SystemCase& c, std::ostream* os) {
+  *os << c.system << "/TD" << c.td;
+}
+
 class TpchSystemsCorrectness
     : public TpchFixture,
       public ::testing::WithParamInterface<SystemCase> {};

@@ -57,10 +57,11 @@ Status DatabaseServer::CreateBaseTable(const std::string& table_name,
   CatalogEntry entry;
   entry.kind = EntryKind::kBase;
   entry.stats = ComputeTableStats(*table);
-  // Encode the columnar representation at load time: base tables are what
-  // scans and wire transfers touch, and chunking them here keeps the first
-  // query's hot path free of encode work. Intermediates stay row-only.
-  table->EnsureChunked();
+  // Encode the columns at load time: base tables are what scans and wire
+  // transfers touch, and encoding them here keeps the first query's hot
+  // path free of encode work. Intermediates keep the plain and dictionary
+  // columns the operators gathered.
+  table->Encode();
   entry.table = std::move(table);
   std::lock_guard<std::mutex> lock(catalog_mu_);
   if (catalog_.count(key)) {

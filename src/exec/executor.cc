@@ -49,55 +49,73 @@ int64_t MorselCount(size_t n, size_t morsel_rows) {
   return static_cast<int64_t>((n + morsel_rows - 1) / morsel_rows);
 }
 
-/// Runs `fn(begin, end, buf)` over fixed-size morsels of [0, n), each morsel
-/// filling its own output buffer, then concatenates the buffers into `out`
-/// in morsel order. Row order is identical to a serial row-at-a-time loop
-/// for any worker count.
-template <typename MorselFn>
-void MorselParallelAppend(int workers, size_t n, Table* out,
-                          const MorselFn& fn) {
-  const size_t num_morsels = (n + kMorselRows - 1) / kMorselRows;
-  std::vector<std::vector<Row>> buffers(num_morsels);
-  ParallelFor(workers, n, kMorselRows,
+/// Runs `fn(begin, end, &parts[m])` over fixed-size morsels of [0, n), each
+/// morsel filling its own part; the parts come back in morsel order, so
+/// concatenating them is identical to a serial loop for any worker count.
+template <typename Part, typename MorselFn>
+std::vector<Part> PerMorsel(int workers, size_t n, size_t morsel_rows,
+                            const MorselFn& fn) {
+  std::vector<Part> parts((n + morsel_rows - 1) / morsel_rows);
+  ParallelFor(workers, n, morsel_rows,
               [&](size_t m, size_t begin, size_t end) {
-                fn(begin, end, &buffers[m]);
+                fn(begin, end, &parts[m]);
               });
+  return parts;
+}
+
+SelVector Concat(const std::vector<SelVector>& parts) {
+  SelVector out;
   size_t total = 0;
-  for (const auto& buf : buffers) total += buf.size();
-  out->Reserve(out->num_rows() + total);
-  for (auto& buf : buffers) {
-    for (auto& row : buf) out->AppendRow(std::move(row));
-  }
+  for (const SelVector& p : parts) total += p.size();
+  out.reserve(total);
+  for (const SelVector& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
 }
 
-/// Serializes the key columns of `row` into `key` (cleared first) as a flat
-/// normalized byte string. Returns false when any key column is NULL (join
-/// keys never match on NULL).
-bool NormalizedJoinKey(const Row& row, const std::vector<int>& key_cols,
-                       std::string* key) {
-  key->clear();
-  for (int k : key_cols) {
-    const Value& v = row[static_cast<size_t>(k)];
-    if (v.is_null()) return false;
-    v.AppendNormalizedKey(key);
-  }
-  return true;
+/// One gather per column: `columns[c]` at the lanes `*idx[c]`, in index
+/// order, as a table of `rows` rows.
+TablePtr GatherTable(const Schema& schema,
+                     const std::vector<const ColumnChunk*>& columns,
+                     const std::vector<const SelVector*>& idx, size_t rows,
+                     int workers) {
+  std::vector<ColumnChunk> out(columns.size());
+  ParallelFor(workers, columns.size(), 1,
+              [&](size_t c, size_t /*begin*/, size_t /*end*/) {
+                out[c] = columns[c]->Gather(*idx[c]);
+              });
+  return std::make_shared<Table>(schema, std::move(out), rows);
 }
 
-/// Columnar variant: reads the key bytes straight from the column chunks
-/// (dictionary codes, RLE runs, typed payloads) without materializing
-/// Values. Byte-identical to the row variant — both delegate to the shared
-/// normalized-key primitives in value.cc.
-bool NormalizedJoinKeyChunked(const ChunkedTable& chunks, size_t row,
-                              const std::vector<int>& key_cols,
-                              std::string* key) {
+/// The rows `idx` of `in`, in index order.
+TablePtr GatherRows(const Schema& schema, const Table& in,
+                    const SelVector& idx, int workers) {
+  std::vector<const ColumnChunk*> columns;
+  for (const ColumnChunk& c : in.columns()) columns.push_back(&c);
+  return GatherTable(schema, columns,
+                     std::vector<const SelVector*>(columns.size(), &idx),
+                     idx.size(), workers);
+}
+
+/// Serializes lane `i` of the key columns into `key` (cleared first) as flat
+/// normalized bytes; join keys and group keys both come from here. Returns
+/// false when any key column is NULL (join keys never match on NULL; group
+/// keys keep the NULL marker bytes).
+bool NormalizedKey(const std::vector<const ColumnChunk*>& keys, size_t i,
+                   std::string* key) {
   key->clear();
-  for (int k : key_cols) {
-    const ColumnChunk& c = chunks.column(static_cast<size_t>(k));
-    if (c.IsNull(row)) return false;
-    c.AppendNormalizedKey(row, key);
+  bool valid = true;
+  for (const ColumnChunk* c : keys) {
+    valid = valid && !c->IsNull(i);
+    c->AppendNormalizedKey(i, key);
   }
-  return true;
+  return valid;
+}
+
+std::vector<const ColumnChunk*> KeyColumns(const Table& t,
+                                           const std::vector<int>& cols) {
+  std::vector<const ColumnChunk*> out;
+  for (int c : cols) out.push_back(&t.column(static_cast<size_t>(c)));
+  return out;
 }
 
 /// \brief Hash-partitioned join build table.
@@ -108,7 +126,7 @@ bool NormalizedJoinKeyChunked(const ChunkedTable& chunks, size_t row,
 /// receives its row indices in ascending original order (morsels are drained
 /// in morsel order), and probes look a key up in exactly one partition — so
 /// match lists, first-occurrence tie order, and the emitted row order are
-/// bit-identical to the old single-threaded single-map build for any
+/// bit-identical to a single-threaded single-map build for any
 /// `exec_threads`.
 struct PartitionedJoinTable {
   using Partition = std::unordered_map<std::string, std::vector<size_t>>;
@@ -129,37 +147,28 @@ struct PartitionedJoinTable {
 
 PartitionedJoinTable BuildJoinTable(const Table& build,
                                     const std::vector<int>& build_keys,
-                                    int workers,
-                                    const ChunkedTable* chunks) {
+                                    int workers) {
   const size_t n = build.num_rows();
+  const std::vector<const ColumnChunk*> key_cols =
+      KeyColumns(build, build_keys);
   PartitionedJoinTable ht;
   ht.num_partitions =
       std::min<size_t>(64, static_cast<size_t>(std::max(1, workers)));
   ht.parts.resize(ht.num_partitions);
 
   // Phase 1 (morsel-parallel): serialize every row's normalized key once and
-  // bucket row indices by target partition, per morsel. When the build side
-  // has a columnar mirror (base tables), keys come straight from the chunks.
-  const size_t num_morsels = (n + kMorselRows - 1) / kMorselRows;
+  // bucket row indices by target partition, per morsel.
   std::vector<std::string> keys(n);
-  std::vector<std::vector<std::vector<uint32_t>>> morsel_buckets(num_morsels);
-  ParallelFor(workers, n, kMorselRows,
-              [&](size_t m, size_t begin, size_t end) {
-                auto& buckets = morsel_buckets[m];
-                buckets.resize(ht.num_partitions);
-                for (size_t i = begin; i < end; ++i) {
-                  const bool ok =
-                      chunks != nullptr
-                          ? NormalizedJoinKeyChunked(*chunks, i, build_keys,
-                                                     &keys[i])
-                          : NormalizedJoinKey(build.row(i), build_keys,
-                                              &keys[i]);
-                  if (!ok) continue;  // NULL key columns never match
-                  buckets[PartitionedJoinTable::PartitionOf(
-                              keys[i], ht.num_partitions)]
-                      .push_back(static_cast<uint32_t>(i));
-                }
-              });
+  const auto morsel_buckets = PerMorsel<std::vector<std::vector<uint32_t>>>(
+      workers, n, kMorselRows,
+      [&](size_t begin, size_t end, std::vector<std::vector<uint32_t>>* b) {
+        b->resize(ht.num_partitions);
+        for (size_t i = begin; i < end; ++i) {
+          if (!NormalizedKey(key_cols, i, &keys[i])) continue;
+          (*b)[PartitionedJoinTable::PartitionOf(keys[i], ht.num_partitions)]
+              .push_back(static_cast<uint32_t>(i));
+        }
+      });
 
   // Phase 2 (partition-parallel): each partition drains its buckets in
   // morsel order, so per-key index lists stay in ascending build-row order —
@@ -190,6 +199,43 @@ struct AggState {
   Value min = Value::Null(TypeId::kInt64);
   Value max = Value::Null(TypeId::kInt64);
 
+  /// Folds lane `i` of an aggregate's evaluated input. SQL aggregates skip
+  /// NULLs; SUM/AVG read plain payloads directly.
+  void Add(AggKind kind, const ColumnChunk& in, size_t i) {
+    if (in.IsNull(i)) return;
+    ++count;
+    const bool plain = in.encoding() == ColumnEncoding::kPlain;
+    switch (kind) {
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        if (plain && in.type() == TypeId::kDouble) {
+          int_sum = false;
+          sum += in.f64_data()[i];
+        } else if (plain && in.type() != TypeId::kString) {
+          sum += static_cast<double>(in.i64_data()[i]);
+          isum += in.i64_data()[i];
+        } else {
+          const Value v = in.GetValue(i);
+          if (v.type() == TypeId::kDouble) int_sum = false;
+          sum += v.AsDouble();
+          isum += v.type() == TypeId::kDouble ? 0 : v.int64_value();
+        }
+        break;
+      case AggKind::kMin: {
+        Value v = in.GetValue(i);
+        if (min.is_null() || v.Compare(min) < 0) min = std::move(v);
+        break;
+      }
+      case AggKind::kMax: {
+        Value v = in.GetValue(i);
+        if (max.is_null() || v.Compare(max) > 0) max = std::move(v);
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
   /// Folds a later partition's state into this one. Merge order is fixed
   /// (partition order), keeping double summation associativity — and thus
   /// SUM/AVG bits — independent of the worker count. Ties in MIN/MAX keep
@@ -217,67 +263,48 @@ struct GroupEntry {
 
 using GroupMap = std::unordered_map<std::string, GroupEntry>;
 
-/// Moves `cand` into `buf`, keeping only rows passing `residual` (nullptr =
-/// keep all). One EvalPredicateBatch sweep per morsel instead of a scalar
-/// EvalPredicate per joined row, so a residual's typed inner loops amortize
-/// over the whole candidate batch. Selection semantics are identical to the
-/// scalar path by the batch evaluator's contract, and morsel boundaries are
-/// unchanged — output order and traces stay bit-identical.
-void AppendResidualFiltered(const Expr* residual, std::vector<Row>* cand,
-                            std::vector<Row>* buf) {
-  if (residual == nullptr) {
-    for (Row& r : *cand) buf->push_back(std::move(r));
-    cand->clear();
-    return;
+/// Matched (left row, right row) index pairs of one probe morsel.
+struct JoinPairs {
+  SelVector left, right;
+};
+
+/// Keeps the pairs whose joined row passes `residual`: the residual runs
+/// through the batch evaluator over candidate columns gathered for the
+/// fields it references only.
+void FilterPairs(const Expr& residual, const Table& left, const Table& right,
+                 JoinPairs* pairs) {
+  const size_t nl = left.schema().num_fields();
+  std::vector<int> refs;
+  CollectColumnIndices(residual, &refs);
+  std::vector<ColumnChunk> cand(nl + right.schema().num_fields());
+  for (int r : refs) {
+    const size_t c = static_cast<size_t>(r);
+    if (cand[c].size() > 0) continue;  // referenced twice
+    cand[c] = c < nl ? left.column(c).Gather(pairs->left)
+                     : right.column(c - nl).Gather(pairs->right);
   }
   SelVector sel;
-  SelRange(0, cand->size(), &sel);
-  EvalPredicateBatch(*residual, *cand, &sel);
-  for (uint32_t idx : sel) buf->push_back(std::move((*cand)[idx]));
-  cand->clear();
+  SelRange(0, pairs->left.size(), &sel);
+  EvalPredicateBatch(residual, cand, &sel);
+  for (size_t k = 0; k < sel.size(); ++k) {
+    pairs->left[k] = pairs->left[sel[k]];
+    pairs->right[k] = pairs->right[sel[k]];
+  }
+  pairs->left.resize(sel.size());
+  pairs->right.resize(sel.size());
 }
 
 Result<TablePtr> ExecJoin(const PlanNode& plan, ExecContext* ctx,
                           TablePtr left, TablePtr right) {
   ComputeTrace* trace = ctx->trace();
   const int workers = ctx->exec_threads();
-  Schema out_schema = plan.output_schema;
-  auto out = std::make_shared<Table>(out_schema);
+  const bool cross = plan.left_keys.empty();
 
-  if (plan.left_keys.empty()) {
-    // Cross product (kept for completeness; the planners avoid it).
-    trace->join_build_rows += static_cast<double>(right->num_rows());
-    trace->join_probe_rows += static_cast<double>(left->num_rows());
-    if (OperatorStats* s = ProfCurrent(ctx)) {
-      s->build_rows = static_cast<double>(right->num_rows());
-      s->probe_rows = static_cast<double>(left->num_rows());
-      s->batches = MorselCount(left->num_rows(), kMorselRows);
-    }
-    MorselParallelAppend(
-        workers, left->num_rows(), out.get(),
-        [&](size_t begin, size_t end, std::vector<Row>* buf) {
-          std::vector<Row> cand;
-          for (size_t i = begin; i < end; ++i) {
-            const Row& lr = left->row(i);
-            for (const auto& rr : right->rows()) {
-              Row row;
-              row.reserve(lr.size() + rr.size());
-              row.insert(row.end(), lr.begin(), lr.end());
-              row.insert(row.end(), rr.begin(), rr.end());
-              cand.push_back(std::move(row));
-            }
-          }
-          AppendResidualFiltered(plan.residual.get(), &cand, buf);
-        });
-    trace->join_output_rows += static_cast<double>(out->num_rows());
-    return out;
-  }
-
-  // Hash join; build on the smaller input, probe with the larger, emitting
-  // rows in (left || right) schema order either way. The build side keys the
-  // table on normalized key bytes — one serialization per row instead of
-  // hashing and comparing vector<Value> on every probe.
-  bool build_right = right->num_rows() <= left->num_rows();
+  // Hash join; build on the smaller input, probe with the larger. The build
+  // side keys the table on normalized key bytes — one serialization per row
+  // instead of hashing and comparing Values on every probe. A cross product
+  // (kept for completeness; the planners avoid it) probes every right row.
+  const bool build_right = cross || right->num_rows() <= left->num_rows();
   const Table& build = build_right ? *right : *left;
   const Table& probe = build_right ? *left : *right;
   const std::vector<int>& build_keys =
@@ -293,50 +320,55 @@ Result<TablePtr> ExecJoin(const PlanNode& plan, ExecContext* ctx,
     s->batches = MorselCount(probe.num_rows(), kMorselRows);
   }
 
-  // Columnar mirrors (present on base tables, encoded at load time) feed
-  // key extraction directly; the shared_ptrs keep them alive across the
-  // parallel regions.
-  const std::shared_ptr<const ChunkedTable> build_chunks = build.chunked();
-  const std::shared_ptr<const ChunkedTable> probe_chunks = probe.chunked();
-  const ChunkedTable* pc = probe_chunks.get();
+  PartitionedJoinTable ht;
+  if (!cross) ht = BuildJoinTable(build, build_keys, workers);
+  const std::vector<const ColumnChunk*> probe_cols =
+      KeyColumns(probe, probe_keys);
 
-  const PartitionedJoinTable ht =
-      BuildJoinTable(build, build_keys, workers, build_chunks.get());
-
-  // Probe runs per-morsel; the partitioned build table is shared read-only.
-  // Each morsel first extracts all its probe keys in one batch pass (one
-  // normalized-key sweep over rows or chunks), then probes.
-  MorselParallelAppend(
-      workers, probe.num_rows(), out.get(),
-      [&](size_t begin, size_t end, std::vector<Row>* buf) {
-        const size_t m = end - begin;
-        std::vector<std::string> keys(m);
-        std::vector<uint8_t> valid(m);
+  // Probe runs per morsel; the partitioned build table is shared read-only.
+  // Each morsel emits (left, right) index pairs in probe order, then match
+  // order, and drops the pairs the residual rejects.
+  const auto parts = PerMorsel<JoinPairs>(
+      workers, probe.num_rows(), kMorselRows,
+      [&](size_t begin, size_t end, JoinPairs* out) {
+        std::string key;
         for (size_t i = begin; i < end; ++i) {
-          valid[i - begin] =
-              pc != nullptr
-                  ? NormalizedJoinKeyChunked(*pc, i, probe_keys,
-                                             &keys[i - begin])
-                  : NormalizedJoinKey(probe.row(i), probe_keys,
-                                      &keys[i - begin]);
-        }
-        std::vector<Row> cand;
-        for (size_t i = begin; i < end; ++i) {
-          if (!valid[i - begin]) continue;
-          const std::vector<size_t>* matches = ht.Find(keys[i - begin]);
+          const uint32_t p = static_cast<uint32_t>(i);
+          if (cross) {
+            for (uint32_t j = 0; j < build.num_rows(); ++j) {
+              out->left.push_back(p);
+              out->right.push_back(j);
+            }
+            continue;
+          }
+          if (!NormalizedKey(probe_cols, i, &key)) continue;
+          const std::vector<size_t>* matches = ht.Find(key);
           if (matches == nullptr) continue;
           for (size_t j : *matches) {
-            const Row& lr = build_right ? probe.row(i) : build.row(j);
-            const Row& rr = build_right ? build.row(j) : probe.row(i);
-            Row row;
-            row.reserve(lr.size() + rr.size());
-            row.insert(row.end(), lr.begin(), lr.end());
-            row.insert(row.end(), rr.begin(), rr.end());
-            cand.push_back(std::move(row));
+            out->left.push_back(build_right ? p : static_cast<uint32_t>(j));
+            out->right.push_back(build_right ? static_cast<uint32_t>(j) : p);
           }
         }
-        AppendResidualFiltered(plan.residual.get(), &cand, buf);
+        if (plan.residual) FilterPairs(*plan.residual, *left, *right, out);
       });
+
+  JoinPairs all;
+  for (const JoinPairs& p : parts) {
+    all.left.insert(all.left.end(), p.left.begin(), p.left.end());
+    all.right.insert(all.right.end(), p.right.begin(), p.right.end());
+  }
+  std::vector<const ColumnChunk*> columns;
+  std::vector<const SelVector*> idx;
+  for (const ColumnChunk& c : left->columns()) {
+    columns.push_back(&c);
+    idx.push_back(&all.left);
+  }
+  for (const ColumnChunk& c : right->columns()) {
+    columns.push_back(&c);
+    idx.push_back(&all.right);
+  }
+  TablePtr out = GatherTable(plan.output_schema, columns, idx,
+                             all.left.size(), workers);
   trace->join_output_rows += static_cast<double>(out->num_rows());
   return out;
 }
@@ -354,25 +386,7 @@ Result<TablePtr> ExecAggregate(const PlanNode& plan, ExecContext* ctx,
   const size_t nkeys = plan.group_keys.size();
   const size_t naggs = plan.aggregates.size();
   const size_t n = input->num_rows();
-
-  // Code-space group keys: when the input has a columnar mirror and every
-  // group key is a plain column reference, normalized key bytes come
-  // straight from the chunks (dictionary codes / RLE runs / typed payloads)
-  // and the representative key values materialize only when a group is
-  // first seen — identical values, since the representative is always the
-  // group's first row either way.
-  const std::shared_ptr<const ChunkedTable> chunks_sp = input->chunked();
-  const ChunkedTable* chunks = chunks_sp.get();
-  bool chunked_keys = chunks != nullptr && nkeys > 0;
-  if (chunked_keys) {
-    for (const auto& g : plan.group_keys) {
-      if (g->kind != ExprKind::kColumnRef || g->column_index < 0 ||
-          static_cast<size_t>(g->column_index) >= chunks->num_columns()) {
-        chunked_keys = false;
-        break;
-      }
-    }
-  }
+  const std::vector<ColumnChunk>& cols = input->columns();
 
   // Partial aggregation over fixed row ranges, merged in range order. The
   // range cut depends only on n, so accumulation order — and with it every
@@ -389,69 +403,39 @@ Result<TablePtr> ExecAggregate(const PlanNode& plan, ExecContext* ctx,
   ParallelFor(workers, n, kAggMorselRows, [&](size_t part, size_t begin,
                                               size_t end) {
     GroupMap& groups = partials[part];
+    SelVector sel;
+    SelRange(begin, end, &sel);
+    // Group keys and aggregate inputs are evaluated per range, down their
+    // columns; each lane then finds its group by its normalized key bytes.
+    std::vector<ColumnChunk> keys;
+    for (const auto& g : plan.group_keys) {
+      keys.push_back(EvalExprBatch(*g, cols, sel));
+    }
+    std::vector<const ColumnChunk*> key_cols;
+    for (const ColumnChunk& k : keys) key_cols.push_back(&k);
+    std::vector<GroupEntry*> entries(sel.size());
     std::string norm;
-    for (size_t r = begin; r < end; ++r) {
-      const Row& row = input->row(r);
-      norm.clear();
-      GroupMap::iterator it;
-      if (chunked_keys) {
-        for (const auto& g : plan.group_keys) {
-          chunks->column(static_cast<size_t>(g->column_index))
-              .AppendNormalizedKey(r, &norm);
+    for (size_t i = 0; i < sel.size(); ++i) {
+      NormalizedKey(key_cols, i, &norm);
+      auto [it, inserted] = groups.try_emplace(norm);
+      if (inserted) {
+        it->second.key.reserve(nkeys);
+        for (const ColumnChunk& k : keys) {
+          it->second.key.push_back(k.GetValue(i));
         }
-        auto res = groups.try_emplace(norm);
-        it = res.first;
-        if (res.second) {
-          Row key_vals;
-          key_vals.reserve(nkeys);
-          for (const auto& g : plan.group_keys) {
-            key_vals.push_back(
-                chunks->column(static_cast<size_t>(g->column_index))
-                    .GetValue(r));
-          }
-          it->second.key = std::move(key_vals);
-          it->second.states.resize(naggs);
-        }
-      } else {
-        Row key_vals;
-        key_vals.reserve(nkeys);
-        for (const auto& g : plan.group_keys) {
-          key_vals.push_back(EvalExpr(*g, row));
-          key_vals.back().AppendNormalizedKey(&norm);
-        }
-        auto res = groups.try_emplace(norm);
-        it = res.first;
-        if (res.second) {
-          it->second.key = std::move(key_vals);
-          it->second.states.resize(naggs);
-        }
+        it->second.states.resize(naggs);
       }
-      for (size_t a = 0; a < naggs; ++a) {
-        const Expr& agg = *plan.aggregates[a];
-        AggState& st = it->second.states[a];
-        if (agg.agg_kind == AggKind::kCountStar) {
-          ++st.count;
-          continue;
-        }
-        Value v = EvalExpr(*agg.children[0], row);
-        if (v.is_null()) continue;  // SQL aggregates skip NULLs
-        ++st.count;
-        switch (agg.agg_kind) {
-          case AggKind::kSum:
-          case AggKind::kAvg:
-            if (v.type() == TypeId::kDouble) st.int_sum = false;
-            st.sum += v.AsDouble();
-            st.isum += v.type() == TypeId::kDouble ? 0 : v.int64_value();
-            break;
-          case AggKind::kMin:
-            if (st.min.is_null() || v.Compare(st.min) < 0) st.min = v;
-            break;
-          case AggKind::kMax:
-            if (st.max.is_null() || v.Compare(st.max) > 0) st.max = v;
-            break;
-          default:
-            break;
-        }
+      entries[i] = &it->second;
+    }
+    for (size_t a = 0; a < naggs; ++a) {
+      const Expr& agg = *plan.aggregates[a];
+      if (agg.agg_kind == AggKind::kCountStar) {
+        for (GroupEntry* e : entries) ++e->states[a].count;
+        continue;
+      }
+      const ColumnChunk in = EvalExprBatch(*agg.children[0], cols, sel);
+      for (size_t i = 0; i < sel.size(); ++i) {
+        entries[i]->states[a].Add(agg.agg_kind, in, i);
       }
     }
   });
@@ -527,6 +511,39 @@ Result<TablePtr> ExecAggregate(const PlanNode& plan, ExecContext* ctx,
   return out;
 }
 
+/// The sort permutation of `in` under `keys`: a stable sort, or the first
+/// `limit` positions of a partial sort when `limit` >= 0 (top-N).
+SelVector SortPermutation(const Table& in,
+                          const std::vector<std::pair<int, bool>>& keys,
+                          int64_t limit) {
+  std::vector<std::vector<Value>> values;
+  for (const auto& [idx, desc] : keys) {
+    const ColumnChunk& c = in.column(static_cast<size_t>(idx));
+    std::vector<Value> lanes;
+    lanes.reserve(c.size());
+    for (size_t i = 0; i < c.size(); ++i) lanes.push_back(c.GetValue(i));
+    values.push_back(std::move(lanes));
+  }
+  auto less = [&](uint32_t a, uint32_t b) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      const int c = values[k][a].Compare(values[k][b]);
+      if (c != 0) return keys[k].second ? c > 0 : c < 0;
+    }
+    return false;
+  };
+  SelVector perm;
+  SelRange(0, in.num_rows(), &perm);
+  if (limit < 0) {
+    std::stable_sort(perm.begin(), perm.end(), less);
+    return perm;
+  }
+  const size_t n = std::min<size_t>(static_cast<size_t>(limit), perm.size());
+  std::partial_sort(perm.begin(), perm.begin() + static_cast<long>(n),
+                    perm.end(), less);
+  perm.resize(n);
+  return perm;
+}
+
 /// The unprofiled executor body; ExecutePlan wraps it with the per-operator
 /// profiling hook. Child recursion goes back through ExecutePlan so every
 /// node gets its own record.
@@ -556,21 +573,14 @@ Result<TablePtr> ExecutePlanNode(const PlanNode& plan, ExecContext* ctx) {
         s->input_rows = static_cast<double>(in->num_rows());
         s->batches = MorselCount(in->num_rows(), kMorselRows);
       }
-      auto out = std::make_shared<Table>(plan.output_schema);
-      // Base tables carry a columnar mirror: predicates then gather typed
-      // payloads (or compare dictionary codes) instead of boxing Values.
-      const auto chunks = in->chunked();
-      const RowBlock block{&in->rows(), chunks.get()};
-      MorselParallelAppend(
-          ctx->exec_threads(), in->num_rows(), out.get(),
-          [&](size_t begin, size_t end, std::vector<Row>* buf) {
-            buf->reserve(end - begin);
-            SelVector sel;
-            SelRange(begin, end, &sel);
-            EvalPredicateBatch(*plan.predicate, block, &sel);
-            for (uint32_t i : sel) buf->push_back(in->row(i));
+      const auto sels = PerMorsel<SelVector>(
+          ctx->exec_threads(), in->num_rows(), kMorselRows,
+          [&](size_t begin, size_t end, SelVector* sel) {
+            SelRange(begin, end, sel);
+            EvalPredicateBatch(*plan.predicate, in->columns(), sel);
           });
-      return out;
+      return GatherRows(plan.output_schema, *in, Concat(sels),
+                        ctx->exec_threads());
     }
     case PlanKind::kProject: {
       XDB_ASSIGN_OR_RETURN(TablePtr in, ExecutePlan(*plan.children[0], ctx));
@@ -579,32 +589,24 @@ Result<TablePtr> ExecutePlanNode(const PlanNode& plan, ExecContext* ctx) {
         s->input_rows = static_cast<double>(in->num_rows());
         s->batches = MorselCount(in->num_rows(), kMorselRows);
       }
-      auto out = std::make_shared<Table>(plan.output_schema);
-      const auto chunks = in->chunked();
-      const RowBlock block{&in->rows(), chunks.get()};
-      MorselParallelAppend(
-          ctx->exec_threads(), in->num_rows(), out.get(),
-          [&](size_t begin, size_t end, std::vector<Row>* buf) {
-            const size_t m = end - begin;
-            buf->reserve(m);
+      // Each morsel evaluates every output expression down its column; the
+      // morsel columns are then concatenated in morsel order.
+      auto parts = PerMorsel<std::vector<ColumnChunk>>(
+          ctx->exec_threads(), in->num_rows(), kMorselRows,
+          [&](size_t begin, size_t end, std::vector<ColumnChunk>* cols) {
             SelVector sel;
             SelRange(begin, end, &sel);
-            // Batch-evaluate each output expression down its column, then
-            // transpose the column vectors into output rows.
-            std::vector<std::vector<Value>> cols(plan.exprs.size());
-            for (size_t c = 0; c < plan.exprs.size(); ++c) {
-              EvalExprBatch(*plan.exprs[c], block, sel, &cols[c]);
-            }
-            for (size_t i = 0; i < m; ++i) {
-              Row projected;
-              projected.reserve(plan.exprs.size());
-              for (size_t c = 0; c < plan.exprs.size(); ++c) {
-                projected.push_back(std::move(cols[c][i]));
-              }
-              buf->push_back(std::move(projected));
+            for (const auto& e : plan.exprs) {
+              cols->push_back(EvalExprBatch(*e, in->columns(), sel));
             }
           });
-      return out;
+      std::vector<ColumnChunk> cols;
+      for (size_t c = 0; c < plan.exprs.size(); ++c) {
+        cols.emplace_back(plan.output_schema.field(c).type);
+        for (auto& part : parts) cols.back().Append(std::move(part[c]));
+      }
+      return std::make_shared<Table>(plan.output_schema, std::move(cols),
+                                     in->num_rows());
     }
     case PlanKind::kJoin: {
       XDB_ASSIGN_OR_RETURN(TablePtr l, ExecutePlan(*plan.children[0], ctx));
@@ -622,61 +624,32 @@ Result<TablePtr> ExecutePlanNode(const PlanNode& plan, ExecContext* ctx) {
         s->input_rows = static_cast<double>(in->num_rows());
         s->batches = 1;
       }
-      auto out = std::make_shared<Table>(plan.output_schema, in->rows());
-      std::stable_sort(
-          out->mutable_rows().begin(), out->mutable_rows().end(),
-          [&](const Row& a, const Row& b) {
-            for (const auto& [idx, desc] : plan.sort_keys) {
-              int c = a[static_cast<size_t>(idx)].Compare(
-                  b[static_cast<size_t>(idx)]);
-              if (c != 0) return desc ? c > 0 : c < 0;
-            }
-            return false;
-          });
-      return out;
+      return GatherRows(plan.output_schema, *in,
+                        SortPermutation(*in, plan.sort_keys, -1),
+                        ctx->exec_threads());
     }
     case PlanKind::kLimit: {
       // Top-N fusion: LIMIT directly over a Sort keeps only the N best
       // rows with a bounded partial sort instead of ordering everything —
       // the pattern TPC-H Q3/Q10 ("ORDER BY revenue DESC LIMIT k") hits.
       const PlanNode& child = *plan.children[0];
-      if (child.kind == PlanKind::kSort && plan.limit >= 0) {
-        XDB_ASSIGN_OR_RETURN(TablePtr in,
-                             ExecutePlan(*child.children[0], ctx));
-        trace->sort_rows += static_cast<double>(in->num_rows());
-        if (OperatorStats* s = ProfCurrent(ctx)) {
-          s->input_rows = static_cast<double>(in->num_rows());
-          s->batches = 1;
-        }
-        auto less = [&](const Row& a, const Row& b) {
-          for (const auto& [idx, desc] : child.sort_keys) {
-            int c = a[static_cast<size_t>(idx)].Compare(
-                b[static_cast<size_t>(idx)]);
-            if (c != 0) return desc ? c > 0 : c < 0;
-          }
-          return false;
-        };
-        size_t n = std::min<size_t>(static_cast<size_t>(plan.limit),
-                                    in->num_rows());
-        std::vector<Row> rows = in->rows();
-        std::partial_sort(rows.begin(),
-                          rows.begin() + static_cast<long>(n), rows.end(),
-                          less);
-        rows.resize(n);
-        return std::make_shared<Table>(plan.output_schema,
-                                       std::move(rows));
-      }
-      XDB_ASSIGN_OR_RETURN(TablePtr in, ExecutePlan(child, ctx));
+      const bool top_n = child.kind == PlanKind::kSort && plan.limit >= 0;
+      XDB_ASSIGN_OR_RETURN(
+          TablePtr in, ExecutePlan(top_n ? *child.children[0] : child, ctx));
+      if (top_n) trace->sort_rows += static_cast<double>(in->num_rows());
       if (OperatorStats* s = ProfCurrent(ctx)) {
         s->input_rows = static_cast<double>(in->num_rows());
         s->batches = 1;
       }
-      auto out = std::make_shared<Table>(plan.output_schema);
-      size_t n = std::min<size_t>(static_cast<size_t>(plan.limit),
-                                  in->num_rows());
-      out->Reserve(n);
-      for (size_t i = 0; i < n; ++i) out->AppendRow(in->row(i));
-      return out;
+      SelVector idx;
+      if (top_n) {
+        idx = SortPermutation(*in, child.sort_keys, plan.limit);
+      } else {
+        SelRange(0, std::min<size_t>(static_cast<size_t>(plan.limit),
+                                     in->num_rows()),
+                 &idx);
+      }
+      return GatherRows(plan.output_schema, *in, idx, ctx->exec_threads());
     }
     case PlanKind::kPlaceholder:
       return Status::Internal(

@@ -1,6 +1,7 @@
 #include "src/expr/expr.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "src/common/str_util.h"
 
@@ -251,6 +252,46 @@ bool Expr::Equals(const Expr& other) const {
 // Binding
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The scalar functions the evaluator implements, with their arity.
+struct FunctionSignature {
+  const char* name;
+  size_t min_args;
+  size_t max_args;
+};
+
+constexpr FunctionSignature kFunctions[] = {
+    {"extract_year", 1, 1},
+    {"coalesce", 1, SIZE_MAX},
+    {"abs", 1, 1},
+    {"round", 1, 2},
+    {"substring", 3, 3},
+};
+
+Status CheckFunction(const Expr& e) {
+  for (const FunctionSignature& f : kFunctions) {
+    if (e.function_name != f.name) continue;
+    if (e.children.size() < f.min_args || e.children.size() > f.max_args) {
+      return Status::NotImplemented(
+          "wrong number of arguments to " + ToUpper(e.function_name) + ": " +
+          std::to_string(e.children.size()));
+    }
+    if (e.function_name == "extract_year" &&
+        InferType(e.children[0]) != TypeId::kDate) {
+      return Status::BindError("EXTRACT(YEAR FROM ...) needs a date, got " +
+                               std::string(TypeIdToString(
+                                   InferType(e.children[0]))) +
+                               ": " + e.ToSql());
+    }
+    return Status::OK();
+  }
+  return Status::NotImplemented("unknown scalar function: " +
+                                ToUpper(e.function_name));
+}
+
+}  // namespace
+
 Result<ExprPtr> BindExpr(const ExprPtr& expr, const Schema& schema,
                          const std::vector<std::string>* qualifiers) {
   ExprPtr bound = expr->Clone();
@@ -292,6 +333,7 @@ Result<ExprPtr> BindExpr(const ExprPtr& expr, const Schema& schema,
         return Status::OK();
       }
       for (auto& c : e->children) XDB_RETURN_NOT_OK(Bind(c.get()));
+      if (e->kind == ExprKind::kFunction) return CheckFunction(*e);
       return Status::OK();
     }
   };
@@ -347,7 +389,7 @@ TypeId InferType(const ExprPtr& expr) {
           !expr->children.empty()) {
         return InferType(expr->children[0]);
       }
-      return TypeId::kDouble;
+      return TypeId::kDouble;  // round
     case ExprKind::kAggregate:
       switch (expr->agg_kind) {
         case AggKind::kCount:
@@ -555,22 +597,20 @@ Value EvalExpr(const Expr& expr, const Row& row) {
         }
         return Value::Double(std::round(v.AsDouble() * scale) / scale);
       }
-      if (expr.function_name == "substring") {
-        Value v = EvalExpr(*expr.children[0], row);
-        Value start = EvalExpr(*expr.children[1], row);
-        Value len = EvalExpr(*expr.children[2], row);
-        if (v.is_null() || start.is_null() || len.is_null()) {
-          return Value::Null(TypeId::kString);
-        }
-        const std::string& s = v.string_value();
-        int64_t b = std::max<int64_t>(1, start.int64_value()) - 1;
-        if (b >= static_cast<int64_t>(s.size())) return Value::String("");
-        return Value::String(
-            s.substr(static_cast<size_t>(b),
-                     static_cast<size_t>(std::max<int64_t>(
-                         0, len.int64_value()))));
+      // substring: BindExpr admits no other function.
+      Value v = EvalExpr(*expr.children[0], row);
+      Value start = EvalExpr(*expr.children[1], row);
+      Value len = EvalExpr(*expr.children[2], row);
+      if (v.is_null() || start.is_null() || len.is_null()) {
+        return Value::Null(TypeId::kString);
       }
-      return Value::Null(TypeId::kDouble);
+      const std::string& s = v.string_value();
+      int64_t b = std::max<int64_t>(1, start.int64_value()) - 1;
+      if (b >= static_cast<int64_t>(s.size())) return Value::String("");
+      return Value::String(
+          s.substr(static_cast<size_t>(b),
+                   static_cast<size_t>(std::max<int64_t>(
+                       0, len.int64_value()))));
     }
     case ExprKind::kAggregate:
       // Aggregates are computed by the HashAggregate operator; a bare

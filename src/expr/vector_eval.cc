@@ -1,322 +1,170 @@
 #include "src/expr/vector_eval.h"
 
-#include <cstddef>
+#include <algorithm>
 
 namespace xdb {
 
 namespace {
 
-/// \brief A batch of evaluated lanes, one per entry of the driving selection
-/// vector.
-///
-/// Numeric lanes live unboxed in payload arrays (`i64` for the int64-payload
-/// type class bool/int64/date, `f64` for double) with a side NULL mask;
-/// dictionary-encoded string columns stay in code space (`dict` + `codes`);
-/// everything else (plain strings, mixed-type columns, fallback results) is
-/// boxed as full Values. `type` is the lane type of non-NULL lanes and
-/// `null_type` the type tag a NULL lane materializes with — kept separately
-/// because the scalar evaluator types NULLs by operator, not by operand
-/// (arithmetic yields Null(kDouble) even over int64 inputs), and bit-identity
-/// includes the NULL's type tag.
-struct Vec {
-  enum class Repr : uint8_t { kI64, kF64, kDict, kBoxed };
+// Every intermediate result is a ColumnChunk with one lane per selected
+// input lane. Typed kernels read plain int64-class / double payloads and
+// dictionary codes; a plain chunk's NULL lanes carry its declared type's tag,
+// so results whose NULLs would carry another tag (the scalar evaluator types
+// NULLs by operator: arithmetic yields Null(kDouble) even over int64 inputs)
+// go through the per-lane path, which boxes them.
 
-  Repr repr = Repr::kBoxed;
-  TypeId type = TypeId::kInt64;
-  TypeId null_type = TypeId::kInt64;
-  bool uniform = false;  // all lanes hold the same value (literal splat)
-  std::vector<uint8_t> nulls;  // 1 = NULL; sized to lanes except kBoxed
-  std::vector<int64_t> i64;
-  std::vector<double> f64;
-  std::vector<Value> boxed;
-  const std::vector<std::string>* dict = nullptr;  // kDict: borrowed from
-  std::vector<uint32_t> codes;                     // the source ColumnChunk
-
-  size_t lanes() const {
-    return repr == Repr::kBoxed ? boxed.size() : nulls.size();
-  }
-  bool IsNullLane(size_t i) const {
-    return repr == Repr::kBoxed ? boxed[i].is_null() : nulls[i] != 0;
-  }
-};
-
-/// Materializes lane `i` as a Value, bit-identical to what the scalar
-/// evaluator would have produced for that subtree on that row.
-Value LaneValue(const Vec& v, size_t i) {
-  if (v.repr == Vec::Repr::kBoxed) return v.boxed[i];
-  if (v.nulls[i]) return Value::Null(v.null_type);
-  if (v.repr == Vec::Repr::kF64) return Value::Double(v.f64[i]);
-  if (v.repr == Vec::Repr::kDict) return Value::String((*v.dict)[v.codes[i]]);
-  switch (v.type) {
-    case TypeId::kBool: return Value::Bool(v.i64[i] != 0);
-    case TypeId::kDate: return Value::Date(v.i64[i]);
-    default: return Value::Int64(v.i64[i]);
-  }
-}
-
-/// Three-valued truth of a lane, matching `!v.is_null() && v.bool_value()`
-/// plus the NULL case. Note Value::bool_value() reads the int64 payload, so a
-/// double or string lane is never TRUE — the f64/dict reprs mirror that quirk
-/// exactly.
-enum class Truth : uint8_t { kFalse, kTrue, kNull };
-
-Truth LaneTruth(const Vec& v, size_t i) {
-  if (v.IsNullLane(i)) return Truth::kNull;
-  switch (v.repr) {
-    case Vec::Repr::kI64: return v.i64[i] != 0 ? Truth::kTrue : Truth::kFalse;
-    case Vec::Repr::kF64: return Truth::kFalse;
-    case Vec::Repr::kDict: return Truth::kFalse;
-    case Vec::Repr::kBoxed:
-      return v.boxed[i].bool_value() ? Truth::kTrue : Truth::kFalse;
-  }
-  return Truth::kFalse;
-}
+using Columns = std::vector<ColumnChunk>;
 
 bool IsI64Class(TypeId t) {
   return t == TypeId::kBool || t == TypeId::kInt64 || t == TypeId::kDate;
 }
-
-Vec EvalVec(const Expr& expr, const RowBlock& b, const SelVector& sel);
-
-/// Whole-subtree fallback: scalar-evaluates the node per selected row. Any
-/// shape without a typed kernel lands here, which makes batch coverage total.
-Vec EvalVecScalarFallback(const Expr& expr, const RowBlock& b,
-                          const SelVector& sel) {
-  const std::vector<Row>& rows = *b.rows;
-  Vec out;
-  out.repr = Vec::Repr::kBoxed;
-  out.boxed.reserve(sel.size());
-  for (uint32_t r : sel) out.boxed.push_back(EvalExpr(expr, rows[r]));
-  return out;
+bool IsPlain(const ColumnChunk& c) {
+  return c.encoding() == ColumnEncoding::kPlain;
+}
+bool IsI64(const ColumnChunk& c) { return IsPlain(c) && IsI64Class(c.type()); }
+bool IsF64(const ColumnChunk& c) {
+  return IsPlain(c) && c.type() == TypeId::kDouble;
+}
+bool IsNumeric(const ColumnChunk& c) { return IsI64(c) || IsF64(c); }
+bool IsDict(const ColumnChunk& c) {
+  return c.encoding() == ColumnEncoding::kDictionary;
+}
+bool IsStr(const ColumnChunk& c) {
+  return IsDict(c) || (IsPlain(c) && c.type() == TypeId::kString);
 }
 
-/// Gather from the columnar mirror: typed payloads load without per-lane type
-/// checks (the chunk encoder already proved lane uniformity), RLE runs decode
-/// with a forward cursor, dictionary columns stay in code space.
-Vec GatherChunkColumn(const ColumnChunk& chunk, const SelVector& sel) {
-  const size_t n = sel.size();
-  const TypeId t = chunk.type();
-  Vec out;
-  out.type = t;
-  out.null_type = t;
-  switch (chunk.encoding()) {
-    case ColumnEncoding::kPlain: {
-      out.nulls.resize(n);
-      const std::vector<uint8_t>& cn = chunk.null_bytemap();
-      if (t == TypeId::kDouble) {
-        out.repr = Vec::Repr::kF64;
-        out.f64.resize(n);
-        const std::vector<double>& payload = chunk.f64_data();
-        for (size_t i = 0; i < n; ++i) {
-          out.f64[i] = payload[sel[i]];
-          out.nulls[i] = cn.empty() ? 0 : cn[sel[i]];
-        }
-        return out;
-      }
-      out.repr = Vec::Repr::kI64;
-      out.i64.resize(n);
-      const std::vector<int64_t>& payload = chunk.i64_data();
-      for (size_t i = 0; i < n; ++i) {
-        out.i64[i] = payload[sel[i]];
-        out.nulls[i] = cn.empty() ? 0 : cn[sel[i]];
-      }
-      return out;
-    }
-    case ColumnEncoding::kRle: {
-      // Null-free by construction; selection vectors are ascending, so one
-      // forward cursor walks the runs (with a reset guard just in case).
-      out.repr = Vec::Repr::kI64;
-      out.nulls.assign(n, 0);
-      out.i64.resize(n);
-      const std::vector<uint32_t>& starts = chunk.run_starts();
-      const std::vector<int64_t>& vals = chunk.run_values();
-      size_t run = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t r = sel[i];
-        if (i > 0 && r < sel[i - 1]) run = 0;
-        while (run + 1 < starts.size() && starts[run + 1] <= r) ++run;
-        out.i64[i] = vals[run];
-      }
-      return out;
-    }
-    case ColumnEncoding::kFor: {
-      out.repr = Vec::Repr::kI64;
-      out.nulls.resize(n);
-      out.i64.resize(n);
-      const std::vector<uint8_t>& cn = chunk.null_bytemap();
-      const std::vector<uint32_t>& codes = chunk.codes();
-      const uint64_t ref = static_cast<uint64_t>(chunk.for_ref());
-      for (size_t i = 0; i < n; ++i) {
-        out.i64[i] = static_cast<int64_t>(ref + codes[sel[i]]);
-        out.nulls[i] = cn.empty() ? 0 : cn[sel[i]];
-      }
-      return out;
-    }
-    case ColumnEncoding::kDictionary: {
-      out.repr = Vec::Repr::kDict;
-      out.dict = &chunk.dict();
-      out.nulls.resize(n);
-      out.codes.resize(n);
-      const std::vector<uint8_t>& cn = chunk.null_bytemap();
-      const std::vector<uint32_t>& codes = chunk.codes();
-      for (size_t i = 0; i < n; ++i) {
-        out.codes[i] = codes[sel[i]];
-        out.nulls[i] = cn.empty() ? 0 : cn[sel[i]];
-      }
-      return out;
-    }
-    case ColumnEncoding::kBoxed:
-      break;  // caller falls back to the row gather
-  }
-  out.repr = Vec::Repr::kBoxed;
-  const std::vector<Value>& boxed = chunk.boxed();
-  out.boxed.reserve(n);
-  for (uint32_t r : sel) out.boxed.push_back(boxed[r]);
-  return out;
+double LaneAsDouble(const ColumnChunk& c, size_t i) {
+  return IsF64(c) ? c.f64_data()[i] : static_cast<double>(c.i64_data()[i]);
+}
+const std::string& LaneStr(const ColumnChunk& c, size_t i) {
+  return IsDict(c) ? c.dict()[c.codes()[i]] : c.str_data()[i];
 }
 
-Vec GatherColumn(const Expr& expr, const RowBlock& b, const SelVector& sel) {
-  const size_t col = static_cast<size_t>(expr.column_index);
-  const TypeId t = expr.column_type;
-  if (b.chunks != nullptr && col < b.chunks->num_columns()) {
-    const ColumnChunk& chunk = b.chunks->column(col);
-    // Plain strings gain nothing over the row gather; everything else does.
-    if (chunk.type() == t && !(chunk.encoding() == ColumnEncoding::kPlain &&
-                               t == TypeId::kString)) {
-      return GatherChunkColumn(chunk, sel);
-    }
+bool HasNull(const ColumnChunk& c) {
+  for (size_t i = 0; i < c.size(); ++i) {
+    if (c.IsNull(i)) return true;
   }
-  const std::vector<Row>& rows = *b.rows;
-  Vec out;
-  out.type = t;
-  out.null_type = t;
-  const size_t n = sel.size();
-  if (IsI64Class(t) || t == TypeId::kDouble) {
-    out.repr = IsI64Class(t) ? Vec::Repr::kI64 : Vec::Repr::kF64;
-    out.nulls.resize(n);
-    auto& payload_i = out.i64;
-    auto& payload_f = out.f64;
-    if (out.repr == Vec::Repr::kI64) payload_i.resize(n);
-    else payload_f.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Value& v = rows[sel[i]][col];
-      if (v.type() != t) {
-        // A lane deviating from the declared column type (possible through
-        // expression-valued views) voids the typed layout; re-gather boxed.
-        out = Vec();
-        out.repr = Vec::Repr::kBoxed;
-        out.boxed.reserve(n);
-        for (uint32_t r : sel) out.boxed.push_back(rows[r][col]);
-        return out;
-      }
-      out.nulls[i] = v.is_null() ? 1 : 0;
-      if (out.repr == Vec::Repr::kI64) payload_i[i] = v.int64_value();
-      else payload_f[i] = v.double_value();
-    }
-    return out;
-  }
-  out.repr = Vec::Repr::kBoxed;
-  out.boxed.reserve(n);
-  for (uint32_t r : sel) out.boxed.push_back(rows[r][col]);
-  return out;
+  return false;
 }
 
-Vec SplatLiteral(const Value& lit, size_t n) {
-  Vec out;
-  out.uniform = true;
+// Value::Compare of two strings.
+int CompareStrings(const std::string& a, const std::string& b) {
+  const int c = a.compare(b);
+  return c < 0 ? -1 : (c == 0 ? 0 : 1);
+}
+
+/// Lanes computed one by one; the chunk stays plain when their tags agree.
+ColumnChunk FromLanes(std::vector<Value> lanes) {
+  const TypeId t = lanes.empty() ? TypeId::kInt64 : lanes[0].type();
+  return ColumnChunk::FromValues(t, std::move(lanes));
+}
+
+ColumnChunk Bools(std::vector<int64_t> lanes, std::vector<uint8_t> nulls) {
+  return ColumnChunk::Int64s(TypeId::kBool, std::move(lanes),
+                             std::move(nulls));
+}
+
+/// Three-valued truth of a lane, matching `!v.is_null() && v.bool_value()`
+/// plus the NULL case. Value::bool_value() reads the int64 payload, so a
+/// double or string lane is never TRUE.
+enum class Truth : uint8_t { kFalse, kTrue, kNull };
+
+Truth LaneTruth(const ColumnChunk& c, size_t i) {
+  if (c.IsNull(i)) return Truth::kNull;
+  bool b = false;
+  if (IsI64(c)) {
+    b = c.i64_data()[i] != 0;
+  } else if (c.encoding() == ColumnEncoding::kBoxed) {
+    b = c.GetValue(i).bool_value();
+  }
+  return b ? Truth::kTrue : Truth::kFalse;
+}
+
+ColumnChunk EvalVec(const Expr& expr, const Columns& cols,
+                    const SelVector& sel);
+
+/// LIKE, IN, CASE and functions: the scalar evaluator per selected lane, on
+/// one scratch row that holds only the columns the expression references.
+ColumnChunk EvalScalarFallback(const Expr& expr, const Columns& cols,
+                               const SelVector& sel) {
+  std::vector<int> refs;
+  CollectColumnIndices(expr, &refs);
+  std::sort(refs.begin(), refs.end());
+  refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+  Row scratch(cols.size());
+  std::vector<Value> out;
+  out.reserve(sel.size());
+  for (uint32_t r : sel) {
+    for (int c : refs) {
+      scratch[static_cast<size_t>(c)] =
+          cols[static_cast<size_t>(c)].GetValue(r);
+    }
+    out.push_back(EvalExpr(expr, scratch));
+  }
+  return FromLanes(std::move(out));
+}
+
+ColumnChunk SplatLiteral(const Value& lit, size_t n) {
   if (!lit.is_null() && IsI64Class(lit.type())) {
-    out.repr = Vec::Repr::kI64;
-    out.type = out.null_type = lit.type();
-    out.nulls.assign(n, 0);
-    out.i64.assign(n, lit.int64_value());
-    return out;
+    return ColumnChunk::Int64s(lit.type(),
+                               std::vector<int64_t>(n, lit.int64_value()), {});
   }
   if (!lit.is_null() && lit.type() == TypeId::kDouble) {
-    out.repr = Vec::Repr::kF64;
-    out.type = out.null_type = TypeId::kDouble;
-    out.nulls.assign(n, 0);
-    out.f64.assign(n, lit.double_value());
-    return out;
+    return ColumnChunk::Doubles(std::vector<double>(n, lit.double_value()),
+                                {});
   }
-  out.repr = Vec::Repr::kBoxed;
-  out.boxed.assign(n, lit);
-  return out;
+  return ColumnChunk::FromValues(lit.type(), std::vector<Value>(n, lit));
 }
 
-bool IsTypedNumeric(const Vec& v) {
-  return v.repr == Vec::Repr::kI64 || v.repr == Vec::Repr::kF64;
-}
-
-double LaneAsDouble(const Vec& v, size_t i) {
-  return v.repr == Vec::Repr::kF64 ? v.f64[i]
-                                   : static_cast<double>(v.i64[i]);
-}
-
-/// Arithmetic over two evaluated operand vectors. Typed loops mirror
-/// EvalBinaryValues' int/double promotion exactly; shapes the loops don't
-/// cover (dates, strings, boxed/dict lanes) combine per lane through
-/// EvalBinaryValues itself.
-Vec EvalArithVec(BinaryOp op, const Vec& l, const Vec& r) {
-  const size_t n = l.lanes();
-  Vec out;
-  out.null_type = TypeId::kDouble;  // arithmetic NULLs are typed double
-  // Integer loop: both int64-class, no date (date +/- has its own result
-  // type), and not division (always double).
-  if (l.repr == Vec::Repr::kI64 && r.repr == Vec::Repr::kI64 &&
-      l.type != TypeId::kDate && r.type != TypeId::kDate &&
-      op != BinaryOp::kDiv) {
-    out.repr = Vec::Repr::kI64;
-    out.type = TypeId::kInt64;
-    out.nulls.resize(n);
-    out.i64.resize(n);
+/// Arithmetic. The typed loops mirror EvalBinaryValues' int/double
+/// promotion exactly; dates, strings, boxed lanes, and int64 results with
+/// NULL lanes combine per lane through EvalBinaryValues itself.
+ColumnChunk EvalArith(BinaryOp op, const ColumnChunk& l,
+                      const ColumnChunk& r) {
+  const size_t n = l.size();
+  if (IsI64(l) && IsI64(r) && l.type() != TypeId::kDate &&
+      r.type() != TypeId::kDate && op != BinaryOp::kDiv && !HasNull(l) &&
+      !HasNull(r)) {
+    std::vector<int64_t> out(n);
+    const std::vector<int64_t>& a = l.i64_data();
+    const std::vector<int64_t>& b = r.i64_data();
     for (size_t i = 0; i < n; ++i) {
-      if (l.nulls[i] | r.nulls[i]) {
-        out.nulls[i] = 1;
-        out.i64[i] = 0;
-        continue;
-      }
-      const int64_t a = l.i64[i], b = r.i64[i];
-      out.i64[i] = op == BinaryOp::kAdd   ? a + b
-                   : op == BinaryOp::kSub ? a - b
-                                          : a * b;
+      out[i] = op == BinaryOp::kAdd   ? a[i] + b[i]
+               : op == BinaryOp::kSub ? a[i] - b[i]
+                                      : a[i] * b[i];
     }
-    return out;
+    return ColumnChunk::Int64s(TypeId::kInt64, std::move(out), {});
   }
-  // Double loop: either side double (dates allowed on the int side — scalar
-  // widens them with AsDouble), or any op over two doubles, or division.
-  if (IsTypedNumeric(l) && IsTypedNumeric(r) &&
-      (l.repr == Vec::Repr::kF64 || r.repr == Vec::Repr::kF64 ||
-       op == BinaryOp::kDiv)) {
-    // kDiv over two int64-class lanes also lands here (scalar: div is always
-    // double); date lanes widen via AsDouble the same way scalar does.
-    out.repr = Vec::Repr::kF64;
-    out.type = TypeId::kDouble;
-    out.nulls.resize(n);
-    out.f64.resize(n, 0.0);
+  // Double loop: either side double (dates widen on the int side as the
+  // scalar AsDouble does), or division, which is always double.
+  if (IsNumeric(l) && IsNumeric(r) &&
+      (IsF64(l) || IsF64(r) || op == BinaryOp::kDiv)) {
+    std::vector<double> out(n, 0.0);
+    std::vector<uint8_t> nulls(n, 0);
     for (size_t i = 0; i < n; ++i) {
-      if (l.nulls[i] | r.nulls[i]) {
-        out.nulls[i] = 1;
+      if (l.IsNull(i) || r.IsNull(i)) {
+        nulls[i] = 1;
         continue;
       }
       const double a = LaneAsDouble(l, i), b = LaneAsDouble(r, i);
       switch (op) {
-        case BinaryOp::kAdd: out.f64[i] = a + b; break;
-        case BinaryOp::kSub: out.f64[i] = a - b; break;
-        case BinaryOp::kMul: out.f64[i] = a * b; break;
+        case BinaryOp::kAdd: out[i] = a + b; break;
+        case BinaryOp::kSub: out[i] = a - b; break;
+        case BinaryOp::kMul: out[i] = a * b; break;
         default:
-          if (b == 0.0) out.nulls[i] = 1;
-          else out.f64[i] = a / b;
+          if (b == 0.0) nulls[i] = 1;
+          else out[i] = a / b;
           break;
       }
     }
-    return out;
+    return ColumnChunk::Doubles(std::move(out), std::move(nulls));
   }
-  out.repr = Vec::Repr::kBoxed;
-  out.boxed.reserve(n);
+  std::vector<Value> out;
+  out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    out.boxed.push_back(EvalBinaryValues(op, LaneValue(l, i), LaneValue(r, i)));
+    out.push_back(EvalBinaryValues(op, l.GetValue(i), r.GetValue(i)));
   }
-  return out;
+  return FromLanes(std::move(out));
 }
 
 int CmpResult(BinaryOp op, int c) {
@@ -330,330 +178,287 @@ int CmpResult(BinaryOp op, int c) {
   }
 }
 
-/// Comparison over two evaluated operand vectors. Value::Compare for two
-/// non-double numerics is a raw int64 compare; when either side is double it
-/// widens with AsDouble — both decisions are lane-uniform for typed vectors,
-/// so the loop body is branch-free on type.
-Vec EvalCompareVec(BinaryOp op, const Vec& l, const Vec& r) {
-  const size_t n = l.lanes();
-  Vec out;
-  out.repr = Vec::Repr::kI64;
-  out.type = TypeId::kBool;
-  out.null_type = TypeId::kBool;
-  out.nulls.resize(n);
-  out.i64.resize(n, 0);
-  if (l.repr == Vec::Repr::kI64 && r.repr == Vec::Repr::kI64) {
-    for (size_t i = 0; i < n; ++i) {
-      if (l.nulls[i] | r.nulls[i]) {
-        out.nulls[i] = 1;
-        continue;
-      }
-      const int64_t a = l.i64[i], b = r.i64[i];
-      out.i64[i] = CmpResult(op, a < b ? -1 : (a == b ? 0 : 1));
-    }
-    return out;
-  }
-  if (IsTypedNumeric(l) && IsTypedNumeric(r)) {
-    for (size_t i = 0; i < n; ++i) {
-      if (l.nulls[i] | r.nulls[i]) {
-        out.nulls[i] = 1;
-        continue;
-      }
-      const double a = LaneAsDouble(l, i), b = LaneAsDouble(r, i);
-      out.i64[i] = CmpResult(op, a < b ? -1 : (a == b ? 0 : 1));
-    }
-    return out;
-  }
-  // Dictionary-code kernel: comparing a dict column against a uniform
-  // (literal) operand translates the literal into a per-dictionary-entry
-  // verdict table once, then each lane is a code lookup — no string compare,
-  // no Value materialization. Value::Compare's verdict depends only on the
-  // entry and the literal, so the table is exact (including mixed-type
-  // ordering when the literal is not a string).
-  {
-    const Vec* dv = nullptr;
-    const Vec* lit = nullptr;
-    bool dict_left = false;
-    if (l.repr == Vec::Repr::kDict && r.uniform) {
-      dv = &l; lit = &r; dict_left = true;
-    } else if (r.repr == Vec::Repr::kDict && l.uniform) {
-      dv = &r; lit = &l;
-    }
-    if (dv != nullptr && n > 0 && !lit->IsNullLane(0)) {
-      const Value litv = LaneValue(*lit, 0);
-      const std::vector<std::string>& dict = *dv->dict;
-      std::vector<uint8_t> match(dict.size());
-      for (size_t k = 0; k < dict.size(); ++k) {
-        const Value entry = Value::String(dict[k]);
-        const int c = dict_left ? entry.Compare(litv) : litv.Compare(entry);
-        match[k] = static_cast<uint8_t>(CmpResult(op, c));
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (dv->nulls[i]) {
-          out.nulls[i] = 1;
-          continue;
-        }
-        out.i64[i] = match[dv->codes[i]];
-      }
-      return out;
-    }
-  }
-  // Boxed/mixed lanes: NULL-check + Value::Compare per lane, exactly the
-  // scalar default branch, on the already-evaluated operands.
+/// Comparison of two evaluated operands. Value::Compare of two non-double
+/// numerics is a raw int64 compare and widens to double when either side is
+/// double; both decisions are lane-uniform for plain chunks.
+ColumnChunk EvalCompare(BinaryOp op, const ColumnChunk& l,
+                        const ColumnChunk& r) {
+  enum class Kind { kInt, kDouble, kString, kValue };
+  const Kind kind = IsI64(l) && IsI64(r)           ? Kind::kInt
+                    : IsNumeric(l) && IsNumeric(r) ? Kind::kDouble
+                    : IsStr(l) && IsStr(r)         ? Kind::kString
+                                                   : Kind::kValue;
+  const size_t n = l.size();
+  std::vector<int64_t> out(n, 0);
+  std::vector<uint8_t> nulls(n, 0);
   for (size_t i = 0; i < n; ++i) {
-    const Value lv = LaneValue(l, i), rv = LaneValue(r, i);
-    if (lv.is_null() || rv.is_null()) {
-      out.nulls[i] = 1;
+    if (l.IsNull(i) || r.IsNull(i)) {
+      nulls[i] = 1;
       continue;
     }
-    out.i64[i] = CmpResult(op, lv.Compare(rv));
+    int c;
+    switch (kind) {
+      case Kind::kInt: {
+        const int64_t a = l.i64_data()[i], b = r.i64_data()[i];
+        c = a < b ? -1 : (a == b ? 0 : 1);
+        break;
+      }
+      case Kind::kDouble: {
+        const double a = LaneAsDouble(l, i), b = LaneAsDouble(r, i);
+        c = a < b ? -1 : (a == b ? 0 : 1);
+        break;
+      }
+      case Kind::kString:
+        c = CompareStrings(LaneStr(l, i), LaneStr(r, i));
+        break;
+      default:
+        c = l.GetValue(i).Compare(r.GetValue(i));
+        break;
+    }
+    out[i] = CmpResult(op, c);
   }
-  return out;
+  return Bools(std::move(out), std::move(nulls));
+}
+
+/// String lanes against a non-NULL literal, without materializing Values:
+/// a dictionary column decides once per entry (Value::Compare's verdict
+/// depends only on the entry and the literal), a plain one per lane.
+ColumnChunk CompareStringsToLiteral(BinaryOp op, const ColumnChunk& col,
+                                    const Value& lit, bool lit_right) {
+  const size_t n = col.size();
+  std::vector<int64_t> out(n, 0);
+  std::vector<uint8_t> nulls(n, 0);
+  std::vector<uint8_t> verdict;
+  if (IsDict(col)) {
+    for (const std::string& entry : col.dict()) {
+      const int c = Value::String(entry).Compare(lit);
+      verdict.push_back(
+          static_cast<uint8_t>(CmpResult(op, lit_right ? c : -c)));
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (col.IsNull(i)) {
+      nulls[i] = 1;
+    } else if (IsDict(col)) {
+      out[i] = verdict[col.codes()[i]];
+    } else {
+      const int c = CompareStrings(col.str_data()[i], lit.string_value());
+      out[i] = CmpResult(op, lit_right ? c : -c);
+    }
+  }
+  return Bools(std::move(out), std::move(nulls));
+}
+
+ColumnChunk EvalCompareExpr(const Expr& expr, const Columns& cols,
+                            const SelVector& sel) {
+  const Expr& le = *expr.children[0];
+  const Expr& re = *expr.children[1];
+  // String column against a literal: no per-lane literal copies.
+  auto literal_kernel = [](const ColumnChunk& col, const Expr& other) {
+    return other.kind == ExprKind::kLiteral && !other.literal.is_null() &&
+           (IsDict(col) || (IsStr(col) &&
+                            other.literal.type() == TypeId::kString));
+  };
+  ColumnChunk l = EvalVec(le, cols, sel);
+  if (literal_kernel(l, re)) {
+    return CompareStringsToLiteral(expr.binary_op, l, re.literal, true);
+  }
+  ColumnChunk r = EvalVec(re, cols, sel);
+  if (literal_kernel(r, le)) {
+    return CompareStringsToLiteral(expr.binary_op, r, le.literal, false);
+  }
+  return EvalCompare(expr.binary_op, l, r);
 }
 
 /// AND/OR with short-circuit by selection intersection: the right child is
 /// evaluated only on lanes the left child did not already decide (non-null
 /// FALSE decides AND; non-null TRUE decides OR), then scattered back.
 /// Lane-wise combination follows the scalar three-valued truth table.
-Vec EvalAndOrVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
+ColumnChunk EvalAndOr(const Expr& expr, const Columns& cols,
+                      const SelVector& sel) {
   const bool is_and = expr.binary_op == BinaryOp::kAnd;
   const size_t n = sel.size();
-  Vec left = EvalVec(*expr.children[0], b, sel);
+  ColumnChunk left = EvalVec(*expr.children[0], cols, sel);
 
   SelVector sub_sel;
   std::vector<uint32_t> sub_pos;
-  sub_sel.reserve(n);
-  sub_pos.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    Truth t = LaneTruth(left, i);
-    const bool decided = is_and ? t == Truth::kFalse : t == Truth::kTrue;
-    if (!decided) {
+    const Truth t = LaneTruth(left, i);
+    if (t != (is_and ? Truth::kFalse : Truth::kTrue)) {
       sub_sel.push_back(sel[i]);
       sub_pos.push_back(static_cast<uint32_t>(i));
     }
   }
-
-  Vec out;
-  out.repr = Vec::Repr::kI64;
-  out.type = TypeId::kBool;
-  out.null_type = TypeId::kBool;
-  out.nulls.assign(n, 0);
   // Decided lanes: AND -> FALSE (0), OR -> TRUE (1).
-  out.i64.assign(n, is_and ? 0 : 1);
-
+  std::vector<int64_t> out(n, is_and ? 0 : 1);
+  std::vector<uint8_t> nulls(n, 0);
   if (!sub_sel.empty()) {
-    Vec right = EvalVec(*expr.children[1], b, sub_sel);
+    ColumnChunk right = EvalVec(*expr.children[1], cols, sub_sel);
     for (size_t s = 0; s < sub_sel.size(); ++s) {
       const size_t i = sub_pos[s];
       const Truth lt = LaneTruth(left, i);
       const Truth rt = LaneTruth(right, s);
-      Truth res;
-      if (is_and) {
-        // left is TRUE or NULL here.
-        if (rt == Truth::kFalse) res = Truth::kFalse;
-        else if (lt == Truth::kNull || rt == Truth::kNull) res = Truth::kNull;
-        else res = Truth::kTrue;
+      // Here the left lane is TRUE or NULL for AND, FALSE or NULL for OR.
+      const Truth deciding = is_and ? Truth::kFalse : Truth::kTrue;
+      if (rt == deciding) {
+        out[i] = is_and ? 0 : 1;
+      } else if (lt == Truth::kNull || rt == Truth::kNull) {
+        nulls[i] = 1;
+        out[i] = 0;
       } else {
-        // left is FALSE or NULL here.
-        if (rt == Truth::kTrue) res = Truth::kTrue;
-        else if (lt == Truth::kNull || rt == Truth::kNull) res = Truth::kNull;
-        else res = Truth::kFalse;
+        out[i] = is_and ? 1 : 0;
       }
-      if (res == Truth::kNull) out.nulls[i] = 1, out.i64[i] = 0;
-      else out.i64[i] = res == Truth::kTrue ? 1 : 0;
     }
   }
-  return out;
+  return Bools(std::move(out), std::move(nulls));
 }
 
-Vec EvalUnaryVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
-  Vec child = EvalVec(*expr.children[0], b, sel);
-  const size_t n = child.lanes();
-  Vec out;
+ColumnChunk EvalUnary(const Expr& expr, const Columns& cols,
+                      const SelVector& sel) {
+  ColumnChunk child = EvalVec(*expr.children[0], cols, sel);
+  const size_t n = child.size();
+  std::vector<uint8_t> nulls(n, 0);
+  for (size_t i = 0; i < n; ++i) nulls[i] = child.IsNull(i) ? 1 : 0;
   switch (expr.unary_op) {
     case UnaryOp::kIsNull:
     case UnaryOp::kIsNotNull: {
-      const bool want_null = expr.unary_op == UnaryOp::kIsNull;
-      out.repr = Vec::Repr::kI64;
-      out.type = out.null_type = TypeId::kBool;
-      out.nulls.assign(n, 0);
-      out.i64.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        out.i64[i] = child.IsNullLane(i) == want_null ? 1 : 0;
-      }
-      return out;
+      const uint8_t want_null = expr.unary_op == UnaryOp::kIsNull ? 1 : 0;
+      std::vector<int64_t> out(n);
+      for (size_t i = 0; i < n; ++i) out[i] = nulls[i] == want_null ? 1 : 0;
+      return Bools(std::move(out), {});
     }
     case UnaryOp::kNot:
-      if (child.repr == Vec::Repr::kI64 && child.type == TypeId::kBool) {
-        out.repr = Vec::Repr::kI64;
-        out.type = out.null_type = TypeId::kBool;
-        out.nulls = child.nulls;
-        out.i64.resize(n);
+      if (IsI64(child) && child.type() == TypeId::kBool) {
+        std::vector<int64_t> out(n);
         for (size_t i = 0; i < n; ++i) {
-          out.i64[i] = child.nulls[i] ? 0 : (child.i64[i] == 0 ? 1 : 0);
+          out[i] = nulls[i] ? 0 : (child.i64_data()[i] == 0 ? 1 : 0);
         }
-        return out;
+        return Bools(std::move(out), std::move(nulls));
       }
       break;
     case UnaryOp::kNeg:
-      if (child.repr == Vec::Repr::kI64) {
-        out.repr = Vec::Repr::kI64;
-        out.type = TypeId::kInt64;
-        // Scalar kNeg returns a NULL operand unchanged, keeping its type.
-        out.null_type = child.null_type;
-        out.nulls = child.nulls;
-        out.i64.resize(n);
+      // Scalar negation yields int64 for every int64-class lane but returns
+      // a NULL operand unchanged, keeping its tag.
+      if (IsI64(child) && (child.type() == TypeId::kInt64 || !HasNull(child))) {
+        std::vector<int64_t> out(n);
         for (size_t i = 0; i < n; ++i) {
-          out.i64[i] = child.nulls[i] ? 0 : -child.i64[i];
+          out[i] = nulls[i] ? 0 : -child.i64_data()[i];
         }
-        return out;
+        return ColumnChunk::Int64s(TypeId::kInt64, std::move(out),
+                                   std::move(nulls));
       }
-      if (child.repr == Vec::Repr::kF64) {
-        out.repr = Vec::Repr::kF64;
-        out.type = TypeId::kDouble;
-        out.null_type = child.null_type;
-        out.nulls = child.nulls;
-        out.f64.resize(n);
+      if (IsF64(child)) {
+        std::vector<double> out(n);
         for (size_t i = 0; i < n; ++i) {
-          out.f64[i] = child.nulls[i] ? 0.0 : -child.f64[i];
+          out[i] = nulls[i] ? 0.0 : -child.f64_data()[i];
         }
-        return out;
+        return ColumnChunk::Doubles(std::move(out), std::move(nulls));
       }
       break;
   }
-  out.repr = Vec::Repr::kBoxed;
-  out.boxed.reserve(n);
+  std::vector<Value> out;
+  out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    out.boxed.push_back(EvalUnaryValue(expr.unary_op, LaneValue(child, i)));
+    out.push_back(EvalUnaryValue(expr.unary_op, child.GetValue(i)));
   }
-  return out;
+  return FromLanes(std::move(out));
 }
 
-Vec EvalBetweenVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
-  Vec v = EvalVec(*expr.children[0], b, sel);
-  Vec lo = EvalVec(*expr.children[1], b, sel);
-  Vec hi = EvalVec(*expr.children[2], b, sel);
-  const size_t n = v.lanes();
-  Vec out;
-  out.repr = Vec::Repr::kI64;
-  out.type = out.null_type = TypeId::kBool;
-  out.nulls.resize(n);
-  out.i64.resize(n, 0);
-  if (IsTypedNumeric(v) && IsTypedNumeric(lo) && IsTypedNumeric(hi)) {
-    // Each bound pair picks int or double comparison exactly as
-    // Value::Compare would, decided once per vector pair.
-    const bool lo_int =
-        v.repr == Vec::Repr::kI64 && lo.repr == Vec::Repr::kI64;
-    const bool hi_int =
-        v.repr == Vec::Repr::kI64 && hi.repr == Vec::Repr::kI64;
-    for (size_t i = 0; i < n; ++i) {
-      if (v.nulls[i] | lo.nulls[i] | hi.nulls[i]) {
-        out.nulls[i] = 1;
-        continue;
-      }
-      const bool ge_lo = lo_int ? v.i64[i] >= lo.i64[i]
-                                : LaneAsDouble(v, i) >= LaneAsDouble(lo, i);
-      const bool le_hi = hi_int ? v.i64[i] <= hi.i64[i]
-                                : LaneAsDouble(v, i) <= LaneAsDouble(hi, i);
-      out.i64[i] = ge_lo && le_hi ? 1 : 0;
-    }
-    return out;
-  }
+ColumnChunk EvalBetween(const Expr& expr, const Columns& cols,
+                        const SelVector& sel) {
+  ColumnChunk v = EvalVec(*expr.children[0], cols, sel);
+  ColumnChunk lo = EvalVec(*expr.children[1], cols, sel);
+  ColumnChunk hi = EvalVec(*expr.children[2], cols, sel);
+  const size_t n = v.size();
+  std::vector<int64_t> out(n, 0);
+  std::vector<uint8_t> nulls(n, 0);
+  const bool numeric = IsNumeric(v) && IsNumeric(lo) && IsNumeric(hi);
+  // Each bound picks int or double comparison exactly as Value::Compare
+  // would, decided once per operand pair.
+  const bool lo_int = IsI64(v) && IsI64(lo);
+  const bool hi_int = IsI64(v) && IsI64(hi);
   for (size_t i = 0; i < n; ++i) {
-    const Value vv = LaneValue(v, i);
-    const Value lv = LaneValue(lo, i);
-    const Value hv = LaneValue(hi, i);
-    if (vv.is_null() || lv.is_null() || hv.is_null()) {
-      out.nulls[i] = 1;
+    if (v.IsNull(i) || lo.IsNull(i) || hi.IsNull(i)) {
+      nulls[i] = 1;
       continue;
     }
-    out.i64[i] = vv.Compare(lv) >= 0 && vv.Compare(hv) <= 0 ? 1 : 0;
+    bool ge_lo, le_hi;
+    if (numeric) {
+      ge_lo = lo_int ? v.i64_data()[i] >= lo.i64_data()[i]
+                     : LaneAsDouble(v, i) >= LaneAsDouble(lo, i);
+      le_hi = hi_int ? v.i64_data()[i] <= hi.i64_data()[i]
+                     : LaneAsDouble(v, i) <= LaneAsDouble(hi, i);
+    } else {
+      const Value vv = v.GetValue(i);
+      ge_lo = vv.Compare(lo.GetValue(i)) >= 0;
+      le_hi = vv.Compare(hi.GetValue(i)) <= 0;
+    }
+    out[i] = ge_lo && le_hi ? 1 : 0;
   }
-  return out;
+  return Bools(std::move(out), std::move(nulls));
 }
 
-Vec EvalVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
+ColumnChunk EvalVec(const Expr& expr, const Columns& cols,
+                    const SelVector& sel) {
   switch (expr.kind) {
     case ExprKind::kColumnRef:
-      return GatherColumn(expr, b, sel);
+      return cols[static_cast<size_t>(expr.column_index)].Gather(sel);
     case ExprKind::kLiteral:
       return SplatLiteral(expr.literal, sel.size());
     case ExprKind::kBinary:
-      if (expr.binary_op == BinaryOp::kAnd ||
-          expr.binary_op == BinaryOp::kOr) {
-        return EvalAndOrVec(expr, b, sel);
-      }
-      {
-        Vec l = EvalVec(*expr.children[0], b, sel);
-        Vec r = EvalVec(*expr.children[1], b, sel);
-        switch (expr.binary_op) {
-          case BinaryOp::kAdd:
-          case BinaryOp::kSub:
-          case BinaryOp::kMul:
-          case BinaryOp::kDiv:
-            return EvalArithVec(expr.binary_op, l, r);
-          default:
-            return EvalCompareVec(expr.binary_op, l, r);
-        }
+      switch (expr.binary_op) {
+        case BinaryOp::kAnd:
+        case BinaryOp::kOr:
+          return EvalAndOr(expr, cols, sel);
+        case BinaryOp::kAdd:
+        case BinaryOp::kSub:
+        case BinaryOp::kMul:
+        case BinaryOp::kDiv:
+          return EvalArith(expr.binary_op,
+                           EvalVec(*expr.children[0], cols, sel),
+                           EvalVec(*expr.children[1], cols, sel));
+        default:
+          return EvalCompareExpr(expr, cols, sel);
       }
     case ExprKind::kUnary:
-      return EvalUnaryVec(expr, b, sel);
+      return EvalUnary(expr, cols, sel);
     case ExprKind::kBetween:
-      return EvalBetweenVec(expr, b, sel);
+      return EvalBetween(expr, cols, sel);
     default:
-      // LIKE, IN, CASE, functions, (mis-planned) aggregates.
-      return EvalVecScalarFallback(expr, b, sel);
+      return EvalScalarFallback(expr, cols, sel);
   }
 }
 
 }  // namespace
 
 void SelRange(size_t begin, size_t end, SelVector* sel) {
-  sel->clear();
-  sel->reserve(end - begin);
+  sel->resize(end - begin);
   for (size_t i = begin; i < end; ++i) {
-    sel->push_back(static_cast<uint32_t>(i));
+    (*sel)[i - begin] = static_cast<uint32_t>(i);
   }
 }
 
-void EvalExprBatch(const Expr& expr, const RowBlock& block,
-                   const SelVector& sel, std::vector<Value>* out) {
-  Vec v = EvalVec(expr, block, sel);
-  out->reserve(out->size() + sel.size());
-  if (v.repr == Vec::Repr::kBoxed) {
-    for (auto& val : v.boxed) out->push_back(std::move(val));
-    return;
-  }
-  for (size_t i = 0; i < v.lanes(); ++i) out->push_back(LaneValue(v, i));
+ColumnChunk EvalExprBatch(const Expr& expr, const Columns& columns,
+                          const SelVector& sel) {
+  return EvalVec(expr, columns, sel);
 }
 
-void EvalExprBatch(const Expr& expr, const std::vector<Row>& rows,
-                   const SelVector& sel, std::vector<Value>* out) {
-  EvalExprBatch(expr, RowBlock{&rows, nullptr}, sel, out);
-}
-
-void EvalPredicateBatch(const Expr& expr, const RowBlock& block,
+void EvalPredicateBatch(const Expr& expr, const Columns& columns,
                         SelVector* sel) {
   if (sel->empty()) return;
-  // Conjunction = selection intersection: the left conjunct shrinks the
-  // selection, the right conjunct never sees rejected rows. (NULL and FALSE
-  // both reject, exactly like scalar EvalPredicate on an AND.)
+  // Conjunction = selection intersection: NULL and FALSE both reject,
+  // exactly like scalar EvalPredicate on an AND.
   if (expr.kind == ExprKind::kBinary && expr.binary_op == BinaryOp::kAnd) {
-    EvalPredicateBatch(*expr.children[0], block, sel);
-    EvalPredicateBatch(*expr.children[1], block, sel);
+    EvalPredicateBatch(*expr.children[0], columns, sel);
+    EvalPredicateBatch(*expr.children[1], columns, sel);
     return;
   }
-  Vec v = EvalVec(expr, block, *sel);
+  ColumnChunk v = EvalVec(expr, columns, *sel);
   size_t kept = 0;
   for (size_t i = 0; i < sel->size(); ++i) {
     if (LaneTruth(v, i) == Truth::kTrue) (*sel)[kept++] = (*sel)[i];
   }
   sel->resize(kept);
-}
-
-void EvalPredicateBatch(const Expr& expr, const std::vector<Row>& rows,
-                        SelVector* sel) {
-  EvalPredicateBatch(expr, RowBlock{&rows, nullptr}, sel);
 }
 
 }  // namespace xdb

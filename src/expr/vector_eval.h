@@ -8,52 +8,36 @@
 
 namespace xdb {
 
-/// \brief Selection vector: ascending row indices into a row span. The batch
-/// evaluator touches only selected rows, so Filter chains (AND conjuncts)
-/// shrink it in place instead of re-testing already-rejected rows.
+/// \brief Selection vector: ascending lane indices into the input columns.
+/// The batch evaluator touches only selected lanes, so Filter chains (AND
+/// conjuncts) shrink it in place instead of re-testing rejected lanes.
 using SelVector = std::vector<uint32_t>;
 
 /// Fills `sel` with [begin, end) — the dense selection a morsel starts from.
 void SelRange(size_t begin, size_t end, SelVector* sel);
 
-/// \brief Input span for the batch evaluator: the row vector plus an optional
-/// columnar mirror of the same data (Table::chunked()). When `chunks` is set,
-/// column-ref gathers read the typed column vectors directly — plain columns
-/// load unboxed payloads without per-lane type checks, RLE columns decode
-/// runs, and dictionary columns stay in code space so comparisons against a
-/// literal translate the literal once per dictionary instead of per lane.
-/// Results are bit-identical to the row path either way.
-struct RowBlock {
-  const std::vector<Row>* rows = nullptr;
-  const ChunkedTable* chunks = nullptr;
-};
-
-/// \brief Evaluates a bound, aggregate-free expression over every selected
-/// row, appending one Value per selection lane to `out` (out->size() grows by
-/// sel.size(); lane i corresponds to rows[sel[i]]).
+/// \brief Evaluates a bound, aggregate-free expression over the selected
+/// lanes of `columns` (column i is the input field an Expr::column_index of
+/// i refers to; columns the expression does not reference may be empty).
+/// Lane k of the result corresponds to input lane sel[k].
 ///
-/// Contract: the appended values are bit-identical to calling
-/// `EvalExpr(expr, rows[sel[i]])` lane by lane — including NULL type tags,
-/// `-0.0` payloads, int-vs-double promotion, date arithmetic, and division by
-/// zero. Hot shapes (int64/double/date column refs and literals, + - * /,
-/// comparisons, AND/OR, NOT/negate/IS NULL, BETWEEN) run typed inner loops
-/// over unboxed payload arrays; everything else falls back to the scalar
-/// evaluator per selected row, so coverage is total.
-void EvalExprBatch(const Expr& expr, const RowBlock& block,
-                   const SelVector& sel, std::vector<Value>* out);
-void EvalExprBatch(const Expr& expr, const std::vector<Row>& rows,
-                   const SelVector& sel, std::vector<Value>* out);
+/// Contract: each lane is bit-identical to `EvalExpr(expr, row)` on the
+/// decoded input row — including NULL type tags, `-0.0` payloads,
+/// int-vs-double promotion, date arithmetic, and division by zero. Hot
+/// shapes (int64/double/date columns and literals, + - * /, comparisons,
+/// AND/OR, NOT/negate/IS NULL, BETWEEN) run typed loops over the column
+/// payloads; dictionary columns compare against a literal in code space.
+/// LIKE, IN, CASE and functions evaluate lane by lane through EvalExpr on
+/// one reused scratch row holding only the columns they reference.
+ColumnChunk EvalExprBatch(const Expr& expr,
+                          const std::vector<ColumnChunk>& columns,
+                          const SelVector& sel);
 
-/// \brief Filters `sel` down to the rows where the predicate evaluates to
-/// (non-NULL) TRUE, preserving order — identical to keeping the rows where
-/// `EvalPredicate(expr, rows[i])` holds.
-///
-/// Top-level AND short-circuits by selection-vector intersection: the left
-/// conjunct shrinks `sel`, and the right conjunct is only evaluated on the
-/// survivors.
-void EvalPredicateBatch(const Expr& expr, const RowBlock& block,
-                        SelVector* sel);
-void EvalPredicateBatch(const Expr& expr, const std::vector<Row>& rows,
+/// \brief Filters `sel` down to the lanes where the predicate evaluates to
+/// (non-NULL) TRUE, preserving order. A top-level AND intersects: the left
+/// conjunct shrinks `sel`, and the right conjunct only sees the survivors.
+void EvalPredicateBatch(const Expr& expr,
+                        const std::vector<ColumnChunk>& columns,
                         SelVector* sel);
 
 }  // namespace xdb

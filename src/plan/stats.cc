@@ -6,31 +6,25 @@ namespace xdb {
 
 TableStats ComputeTableStats(const Table& table) {
   TableStats stats;
-  stats.row_count = static_cast<double>(table.num_rows());
-  const size_t ncols = table.schema().num_fields();
-  stats.columns.resize(ncols);
-
-  std::vector<std::unordered_set<size_t>> distinct_hashes(ncols);
-  std::vector<double> width_sums(ncols, 0.0);
-
-  for (const auto& row : table.rows()) {
-    for (size_t c = 0; c < ncols; ++c) {
-      const Value& v = row[c];
-      width_sums[c] += static_cast<double>(v.SerializedSize());
-      if (v.is_null()) continue;
-      distinct_hashes[c].insert(v.Hash());
-      ColumnStats& cs = stats.columns[c];
-      if (cs.min.is_null() || v.Compare(cs.min) < 0) cs.min = v;
-      if (cs.max.is_null() || v.Compare(cs.max) > 0) cs.max = v;
-    }
-  }
-  for (size_t c = 0; c < ncols; ++c) {
+  const size_t n = table.num_rows();
+  stats.row_count = static_cast<double>(n);
+  stats.columns.resize(table.schema().num_fields());
+  for (size_t c = 0; c < stats.columns.size(); ++c) {
+    const ColumnChunk& col = table.column(c);
     ColumnStats& cs = stats.columns[c];
-    cs.ndv = std::max<double>(1.0, static_cast<double>(
-                                       distinct_hashes[c].size()));
-    cs.avg_width = table.num_rows() > 0
-                       ? width_sums[c] / static_cast<double>(table.num_rows())
-                       : 8.0;
+    std::unordered_set<size_t> distinct_hashes;
+    for (size_t i = 0; i < n; ++i) {
+      if (col.IsNull(i)) continue;
+      Value v = col.GetValue(i);
+      distinct_hashes.insert(v.Hash());
+      if (cs.min.is_null() || v.Compare(cs.min) < 0) cs.min = v;
+      if (cs.max.is_null() || v.Compare(cs.max) > 0) cs.max = std::move(v);
+    }
+    cs.ndv = std::max<double>(1.0,
+                              static_cast<double>(distinct_hashes.size()));
+    cs.avg_width = n > 0 ? static_cast<double>(col.DecodedSize()) /
+                               static_cast<double>(n)
+                         : 8.0;
   }
   return stats;
 }

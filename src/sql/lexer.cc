@@ -1,6 +1,10 @@
 #include "src/sql/lexer.h"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <unordered_set>
 
 #include "src/common/str_util.h"
@@ -92,8 +96,25 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
       }
       tok.type = TokenType::kNumber;
       tok.text = input.substr(start, i - start);
-      tok.number = std::stod(tok.text);
       tok.is_integer = !has_dot;
+      // Integers parse exactly; a double only has to stay finite (strtod
+      // flags underflow too, which rounds to zero or a subnormal and is
+      // fine).
+      const char* first = tok.text.data();
+      const char* last = first + tok.text.size();
+      if (tok.is_integer) {
+        if (std::from_chars(first, last, tok.integer).ec != std::errc()) {
+          return Status::ParseError("integer literal out of range: " +
+                                    tok.text);
+        }
+      } else {
+        errno = 0;
+        tok.number = std::strtod(first, nullptr);
+        if (errno == ERANGE && std::isinf(tok.number)) {
+          return Status::ParseError("numeric literal out of range: " +
+                                    tok.text);
+        }
+      }
       tokens.push_back(std::move(tok));
       continue;
     }

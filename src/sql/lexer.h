@@ -21,7 +21,8 @@ enum class TokenType : uint8_t {
 struct Token {
   TokenType type = TokenType::kEnd;
   std::string text;
-  double number = 0;
+  double number = 0;      // kNumber with a '.' or an exponent
+  int64_t integer = 0;    // kNumber without one (exact)
   bool is_integer = false;
   size_t position = 0;  // byte offset, for error messages
 };

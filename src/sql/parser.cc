@@ -259,7 +259,7 @@ class Parser {
       if (t.type != TokenType::kNumber || !t.is_integer) {
         return Status::ParseError("expected integer after LIMIT");
       }
-      sel->limit = static_cast<int64_t>(t.number);
+      sel->limit = t.integer;
       ++pos_;
     }
     return sel;
@@ -423,7 +423,7 @@ class Parser {
     if (t.type == TokenType::kNumber) {
       ++pos_;
       if (t.is_integer) {
-        return Expr::Literal(Value::Int64(static_cast<int64_t>(t.number)));
+        return Expr::Literal(Value::Int64(t.integer));
       }
       return Expr::Literal(Value::Double(t.number));
     }

@@ -48,171 +48,9 @@ size_t ForOffsetWidth(uint64_t range) {
   return 0;
 }
 
-}  // namespace
-
-ColumnChunk ColumnChunk::Encode(const std::vector<Row>& rows, size_t col,
-                                TypeId declared) {
-  ColumnChunk c;
-  c.type_ = declared;
-  const size_t n = rows.size();
-  c.size_ = n;
-
-  size_t null_count = 0;
-  bool uniform = true;
-  for (size_t i = 0; i < n; ++i) {
-    const Value& v = rows[i][col];
-    c.decoded_size_ += v.SerializedSize();
-    if (v.is_null()) ++null_count;
-    // NULL lanes carry type tags too; a foreign tag forces the boxed
-    // fallback so GetValue can reconstruct it exactly.
-    if (v.type() != declared) uniform = false;
-  }
-
-  if (!uniform) {
-    c.encoding_ = ColumnEncoding::kBoxed;
-    c.boxed_.reserve(n);
-    for (size_t i = 0; i < n; ++i) c.boxed_.push_back(rows[i][col]);
-    if (null_count > 0) {
-      c.nulls_.resize(n, 0);
-      for (size_t i = 0; i < n; ++i) c.nulls_[i] = rows[i][col].is_null();
-    }
-    c.encoded_size_ = c.decoded_size_;  // boxed ships as rows
-    return c;
-  }
-
-  if (null_count > 0) {
-    c.nulls_.resize(n, 0);
-    for (size_t i = 0; i < n; ++i) c.nulls_[i] = rows[i][col].is_null();
-  }
-  const size_t non_null = n - null_count;
-  const size_t null_bytes = NullOverhead(n, null_count);
-
-  switch (declared) {
-    case TypeId::kBool:
-    case TypeId::kInt64:
-    case TypeId::kDate: {
-      c.i64_.resize(n, 0);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][col];
-        if (!v.is_null()) c.i64_[i] = v.int64_value();
-      }
-      const size_t plain_bytes = PlainLaneWidth(declared) * non_null;
-      size_t rle_bytes = plain_bytes;
-      if (null_count == 0 && n > 0) {
-        size_t runs = 1;
-        for (size_t i = 1; i < n; ++i) runs += c.i64_[i] != c.i64_[i - 1];
-        rle_bytes = runs * 12;  // 8B value + 4B length per run
-      }
-      // Frame of reference: keys, dates, and years span tiny ranges, so
-      // narrow offsets from the column minimum beat full 8-byte lanes.
-      // Bools are excluded (plain is already 1 byte per lane).
-      size_t for_bytes = plain_bytes;
-      size_t for_width = 0;
-      int64_t for_min = 0;
-      if (declared != TypeId::kBool && non_null > 0) {
-        int64_t mn = 0;
-        int64_t mx = 0;
-        bool first = true;
-        for (size_t i = 0; i < n; ++i) {
-          if (c.IsNull(i)) continue;
-          if (first || c.i64_[i] < mn) mn = c.i64_[i];
-          if (first || c.i64_[i] > mx) mx = c.i64_[i];
-          first = false;
-        }
-        const uint64_t range =
-            static_cast<uint64_t>(mx) - static_cast<uint64_t>(mn);
-        for_width = ForOffsetWidth(range);
-        if (for_width > 0) {
-          for_min = mn;
-          for_bytes = 8 + for_width * non_null + null_bytes;
-        }
-      }
-      if (rle_bytes < plain_bytes && rle_bytes <= for_bytes) {
-        c.encoding_ = ColumnEncoding::kRle;
-        c.run_values_.reserve(rle_bytes / 12);
-        c.run_starts_.reserve(rle_bytes / 12);
-        for (size_t i = 0; i < n; ++i) {
-          if (i == 0 || c.i64_[i] != c.i64_[i - 1]) {
-            c.run_values_.push_back(c.i64_[i]);
-            c.run_starts_.push_back(static_cast<uint32_t>(i));
-          }
-        }
-        c.i64_.clear();
-        c.i64_.shrink_to_fit();
-        c.encoded_size_ = rle_bytes;
-        return c;
-      }
-      if (for_width > 0 && for_bytes < plain_bytes + null_bytes) {
-        c.encoding_ = ColumnEncoding::kFor;
-        c.for_ref_ = for_min;
-        c.codes_.resize(n, 0);
-        for (size_t i = 0; i < n; ++i) {
-          if (c.IsNull(i)) continue;
-          c.codes_[i] = static_cast<uint32_t>(
-              static_cast<uint64_t>(c.i64_[i]) -
-              static_cast<uint64_t>(for_min));
-        }
-        c.i64_.clear();
-        c.i64_.shrink_to_fit();
-        c.encoded_size_ = for_bytes;
-        return c;
-      }
-      c.encoding_ = ColumnEncoding::kPlain;
-      c.encoded_size_ = plain_bytes + null_bytes;
-      return c;
-    }
-    case TypeId::kDouble: {
-      c.encoding_ = ColumnEncoding::kPlain;
-      c.f64_.resize(n, 0.0);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][col];
-        if (!v.is_null()) c.f64_[i] = v.double_value();
-      }
-      c.encoded_size_ = 8 * non_null + null_bytes;
-      return c;
-    }
-    case TypeId::kString: {
-      size_t plain_bytes = 0;
-      std::unordered_map<std::string, uint32_t> index;
-      c.codes_.resize(n, 0);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][col];
-        if (v.is_null()) continue;
-        plain_bytes += 4 + v.string_value().size();
-        auto [it, inserted] = index.emplace(
-            v.string_value(), static_cast<uint32_t>(c.dict_.size()));
-        if (inserted) c.dict_.push_back(v.string_value());
-        c.codes_[i] = it->second;
-      }
-      size_t dict_bytes = DictCodeWidth(c.dict_.size()) * non_null;
-      for (const std::string& s : c.dict_) dict_bytes += 4 + s.size();
-      if (dict_bytes < plain_bytes) {
-        c.encoding_ = ColumnEncoding::kDictionary;
-        c.encoded_size_ = dict_bytes + null_bytes;
-        return c;
-      }
-      c.encoding_ = ColumnEncoding::kPlain;
-      c.strs_.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][col];
-        if (!v.is_null()) c.strs_[i] = v.string_value();
-      }
-      c.dict_.clear();
-      c.codes_.clear();
-      c.codes_.shrink_to_fit();
-      c.encoded_size_ = plain_bytes + null_bytes;
-      return c;
-    }
-  }
-  // Unreachable; keep the boxed default if a new TypeId ever appears.
-  c.encoding_ = ColumnEncoding::kBoxed;
-  c.boxed_.reserve(n);
-  for (size_t i = 0; i < n; ++i) c.boxed_.push_back(rows[i][col]);
-  c.encoded_size_ = c.decoded_size_;
-  return c;
+bool IsInt64Class(TypeId t) {
+  return t == TypeId::kBool || t == TypeId::kInt64 || t == TypeId::kDate;
 }
-
-namespace {
 
 size_t RunIndexFor(const std::vector<uint32_t>& starts, size_t i) {
   auto it = std::upper_bound(starts.begin(), starts.end(),
@@ -222,46 +60,364 @@ size_t RunIndexFor(const std::vector<uint32_t>& starts, size_t i) {
 
 }  // namespace
 
-Value ColumnChunk::GetValue(size_t i) const {
-  if (encoding_ == ColumnEncoding::kBoxed) return boxed_[i];
-  if (IsNull(i)) return Value::Null(type_);
+ColumnChunk ColumnChunk::Int64s(TypeId type, std::vector<int64_t> values,
+                                std::vector<uint8_t> nulls) {
+  ColumnChunk c(type);
+  c.size_ = values.size();
+  c.i64_ = std::move(values);
+  c.nulls_ = std::move(nulls);
+  return c;
+}
+
+ColumnChunk ColumnChunk::Doubles(std::vector<double> values,
+                                 std::vector<uint8_t> nulls) {
+  ColumnChunk c(TypeId::kDouble);
+  c.size_ = values.size();
+  c.f64_ = std::move(values);
+  c.nulls_ = std::move(nulls);
+  return c;
+}
+
+ColumnChunk ColumnChunk::FromValues(TypeId type, std::vector<Value> values) {
+  ColumnChunk c(type);
+  for (const Value& v : values) {
+    if (v.type() == type) continue;
+    c.encoding_ = ColumnEncoding::kBoxed;
+    c.size_ = values.size();
+    c.boxed_ = std::move(values);
+    return c;
+  }
+  c.Reserve(values.size());
+  for (const Value& v : values) c.Append(v);
+  return c;
+}
+
+void ColumnChunk::Reserve(size_t n) {
+  if (encoding_ == ColumnEncoding::kBoxed) {
+    boxed_.reserve(n);
+  } else if (type_ == TypeId::kDouble) {
+    f64_.reserve(n);
+  } else if (type_ == TypeId::kString) {
+    strs_.reserve(n);
+  } else {
+    i64_.reserve(n);
+  }
+}
+
+void ColumnChunk::Decode() {
+  if (encoding_ == ColumnEncoding::kPlain ||
+      encoding_ == ColumnEncoding::kBoxed) {
+    return;
+  }
+  if (encoding_ == ColumnEncoding::kDictionary) {
+    strs_.resize(size_);
+    for (size_t i = 0; i < size_; ++i) {
+      if (!IsNull(i)) strs_[i] = (*dict_)[codes_[i]];
+    }
+    dict_.reset();
+    codes_.clear();
+  } else {
+    std::vector<uint32_t> all(size_);
+    for (size_t i = 0; i < size_; ++i) all[i] = static_cast<uint32_t>(i);
+    *this = Gather(all);
+  }
+  encoding_ = ColumnEncoding::kPlain;
+}
+
+void ColumnChunk::Append(const Value& v) {
+  Decode();
+  encoded_ = false;
+  if (encoding_ == ColumnEncoding::kPlain && v.type() != type_) {
+    // A foreign type tag: every lane becomes a boxed Value.
+    std::vector<Value> lanes;
+    lanes.reserve(size_ + 1);
+    for (size_t i = 0; i < size_; ++i) lanes.push_back(GetValue(i));
+    lanes.push_back(v);
+    *this = FromValues(type_, std::move(lanes));
+    return;
+  }
+  ++size_;
+  if (encoding_ == ColumnEncoding::kBoxed) {
+    boxed_.push_back(v);
+    return;
+  }
+  if (v.is_null() || !nulls_.empty()) {
+    nulls_.resize(size_ - 1, 0);  // the bytemap starts at the first NULL
+    nulls_.push_back(v.is_null() ? 1 : 0);
+  }
+  // NULL Values carry zero payloads.
+  if (type_ == TypeId::kDouble) {
+    f64_.push_back(v.double_value());
+  } else if (type_ == TypeId::kString) {
+    strs_.push_back(v.string_value());
+  } else {
+    i64_.push_back(v.int64_value());
+  }
+}
+
+void ColumnChunk::Append(ColumnChunk other) {
+  if (other.size_ == 0) return;
+  const bool same_type = other.type_ == type_;
+  if (size_ == 0 && same_type) {
+    *this = std::move(other);
+    return;
+  }
+  const bool plain = encoding_ == ColumnEncoding::kPlain &&
+                     other.encoding_ == ColumnEncoding::kPlain;
+  const bool shared_dict = encoding_ == ColumnEncoding::kDictionary &&
+                           other.encoding_ == ColumnEncoding::kDictionary &&
+                           dict_ == other.dict_;
+  if (!same_type || !(plain || shared_dict)) {
+    for (size_t i = 0; i < other.size_; ++i) Append(other.GetValue(i));
+    return;
+  }
+  encoded_ = false;
+  if (!other.nulls_.empty() || !nulls_.empty()) {
+    nulls_.resize(size_, 0);
+    if (other.nulls_.empty()) {
+      nulls_.resize(size_ + other.size_, 0);
+    } else {
+      nulls_.insert(nulls_.end(), other.nulls_.begin(), other.nulls_.end());
+    }
+  }
+  size_ += other.size_;
+  if (shared_dict) {
+    codes_.insert(codes_.end(), other.codes_.begin(), other.codes_.end());
+  } else if (type_ == TypeId::kDouble) {
+    f64_.insert(f64_.end(), other.f64_.begin(), other.f64_.end());
+  } else if (type_ == TypeId::kString) {
+    strs_.insert(strs_.end(), other.strs_.begin(), other.strs_.end());
+  } else {
+    i64_.insert(i64_.end(), other.i64_.begin(), other.i64_.end());
+  }
+}
+
+ColumnChunk ColumnChunk::Gather(const std::vector<uint32_t>& idx) const {
+  const size_t n = idx.size();
+  if (encoding_ == ColumnEncoding::kBoxed) {
+    std::vector<Value> lanes;
+    lanes.reserve(n);
+    for (uint32_t i : idx) lanes.push_back(boxed_[i]);
+    return FromValues(type_, std::move(lanes));
+  }
+  ColumnChunk out(type_);
+  out.size_ = n;
+  if (!nulls_.empty()) {
+    out.nulls_.resize(n);
+    for (size_t k = 0; k < n; ++k) out.nulls_[k] = nulls_[idx[k]];
+  }
   switch (encoding_) {
     case ColumnEncoding::kPlain:
-      switch (type_) {
-        case TypeId::kBool:
-          return Value::Bool(i64_[i] != 0);
-        case TypeId::kInt64:
-          return Value::Int64(i64_[i]);
-        case TypeId::kDate:
-          return Value::Date(i64_[i]);
-        case TypeId::kDouble:
-          return Value::Double(f64_[i]);
-        case TypeId::kString:
-          return Value::String(strs_[i]);
+      if (type_ == TypeId::kDouble) {
+        out.f64_.resize(n);
+        for (size_t k = 0; k < n; ++k) out.f64_[k] = f64_[idx[k]];
+      } else if (type_ == TypeId::kString) {
+        out.strs_.resize(n);
+        for (size_t k = 0; k < n; ++k) out.strs_[k] = strs_[idx[k]];
+      } else {
+        out.i64_.resize(n);
+        for (size_t k = 0; k < n; ++k) out.i64_[k] = i64_[idx[k]];
       }
       break;
     case ColumnEncoding::kDictionary:
-      return Value::String(dict_[codes_[i]]);
-    case ColumnEncoding::kRle: {
-      int64_t v = run_values_[RunIndexFor(run_starts_, i)];
-      switch (type_) {
-        case TypeId::kBool:
-          return Value::Bool(v != 0);
-        case TypeId::kDate:
-          return Value::Date(v);
-        default:
-          return Value::Int64(v);
-      }
-    }
+      out.encoding_ = ColumnEncoding::kDictionary;
+      out.dict_ = dict_;
+      out.codes_.resize(n);
+      for (size_t k = 0; k < n; ++k) out.codes_[k] = codes_[idx[k]];
+      break;
     case ColumnEncoding::kFor: {
-      const int64_t v = static_cast<int64_t>(
-          static_cast<uint64_t>(for_ref_) + codes_[i]);
-      return type_ == TypeId::kDate ? Value::Date(v) : Value::Int64(v);
+      out.i64_.resize(n);
+      const uint64_t ref = static_cast<uint64_t>(for_ref_);
+      for (size_t k = 0; k < n; ++k) {
+        out.i64_[k] = static_cast<int64_t>(ref + codes_[idx[k]]);
+      }
+      break;
+    }
+    case ColumnEncoding::kRle: {
+      // A lane in the current or the next run moves a cursor; any other
+      // jump binary-searches the run starts.
+      out.i64_.resize(n);
+      const std::vector<uint32_t>& starts = run_starts_;
+      auto in_run = [&](size_t run, uint32_t r) {
+        return run < starts.size() && starts[run] <= r &&
+               (run + 1 == starts.size() || r < starts[run + 1]);
+      };
+      size_t run = 0;
+      for (size_t k = 0; k < n; ++k) {
+        const uint32_t r = idx[k];
+        if (!in_run(run, r)) {
+          run = in_run(run + 1, r) ? run + 1 : RunIndexFor(starts, r);
+        }
+        out.i64_[k] = run_values_[run];
+      }
+      break;
     }
     case ColumnEncoding::kBoxed:
       break;
   }
-  return Value::Null(type_);
+  return out;
+}
+
+void ColumnChunk::Encode() {
+  if (encoded_) return;
+  Decode();
+  encoded_ = true;
+  if (encoding_ == ColumnEncoding::kBoxed) {
+    encoded_size_ = DecodedSize();  // boxed ships as rows
+    return;
+  }
+  const size_t n = size_;
+  size_t null_count = 0;
+  for (uint8_t b : nulls_) null_count += b;
+  if (null_count == 0) nulls_.clear();
+  const size_t non_null = n - null_count;
+  const size_t null_bytes = NullOverhead(n, null_count);
+
+  if (IsInt64Class(type_)) {
+    const size_t plain_bytes = PlainLaneWidth(type_) * non_null;
+    size_t rle_bytes = plain_bytes;
+    if (null_count == 0 && n > 0) {
+      size_t runs = 1;
+      for (size_t i = 1; i < n; ++i) runs += i64_[i] != i64_[i - 1];
+      rle_bytes = runs * 12;  // 8B value + 4B length per run
+    }
+    // Frame of reference: keys, dates, and years span tiny ranges, so
+    // narrow offsets from the column minimum beat full 8-byte lanes.
+    // Bools are excluded (plain is already 1 byte per lane).
+    size_t for_bytes = plain_bytes;
+    size_t for_width = 0;
+    int64_t for_min = 0;
+    if (type_ != TypeId::kBool && non_null > 0) {
+      int64_t mn = 0;
+      int64_t mx = 0;
+      bool first = true;
+      for (size_t i = 0; i < n; ++i) {
+        if (IsNull(i)) continue;
+        if (first || i64_[i] < mn) mn = i64_[i];
+        if (first || i64_[i] > mx) mx = i64_[i];
+        first = false;
+      }
+      const uint64_t range =
+          static_cast<uint64_t>(mx) - static_cast<uint64_t>(mn);
+      for_width = ForOffsetWidth(range);
+      if (for_width > 0) {
+        for_min = mn;
+        for_bytes = 8 + for_width * non_null + null_bytes;
+      }
+    }
+    if (rle_bytes < plain_bytes && rle_bytes <= for_bytes) {
+      encoding_ = ColumnEncoding::kRle;
+      for (size_t i = 0; i < n; ++i) {
+        if (i == 0 || i64_[i] != i64_[i - 1]) {
+          run_values_.push_back(i64_[i]);
+          run_starts_.push_back(static_cast<uint32_t>(i));
+        }
+      }
+      i64_ = {};
+      encoded_size_ = rle_bytes;
+      return;
+    }
+    if (for_width > 0 && for_bytes < plain_bytes + null_bytes) {
+      encoding_ = ColumnEncoding::kFor;
+      for_ref_ = for_min;
+      codes_.resize(n, 0);
+      for (size_t i = 0; i < n; ++i) {
+        if (IsNull(i)) continue;
+        codes_[i] = static_cast<uint32_t>(static_cast<uint64_t>(i64_[i]) -
+                                          static_cast<uint64_t>(for_min));
+      }
+      i64_ = {};
+      encoded_size_ = for_bytes;
+      return;
+    }
+    encoded_size_ = plain_bytes + null_bytes;
+    return;
+  }
+  if (type_ == TypeId::kDouble) {
+    encoded_size_ = 8 * non_null + null_bytes;
+    return;
+  }
+  size_t plain_bytes = 0;
+  std::unordered_map<std::string, uint32_t> index;
+  std::vector<std::string> dict;
+  std::vector<uint32_t> codes(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (IsNull(i)) continue;
+    plain_bytes += 4 + strs_[i].size();
+    auto [it, inserted] =
+        index.emplace(strs_[i], static_cast<uint32_t>(dict.size()));
+    if (inserted) dict.push_back(strs_[i]);
+    codes[i] = it->second;
+  }
+  size_t dict_bytes = DictCodeWidth(dict.size()) * non_null;
+  for (const std::string& s : dict) dict_bytes += 4 + s.size();
+  if (dict_bytes < plain_bytes) {
+    encoding_ = ColumnEncoding::kDictionary;
+    dict_ = std::make_shared<const std::vector<std::string>>(std::move(dict));
+    codes_ = std::move(codes);
+    strs_ = {};
+    encoded_size_ = dict_bytes + null_bytes;
+    return;
+  }
+  encoded_size_ = plain_bytes + null_bytes;
+}
+
+size_t ColumnChunk::EncodedSize() const {
+  if (encoded_) return encoded_size_;
+  ColumnChunk copy = *this;
+  copy.Encode();
+  return copy.encoded_size_;
+}
+
+size_t ColumnChunk::DecodedSize() const {
+  size_t n = 0;
+  if (encoding_ == ColumnEncoding::kBoxed) {
+    for (const Value& v : boxed_) n += v.SerializedSize();
+    return n;
+  }
+  size_t null_count = 0;
+  for (uint8_t b : nulls_) null_count += b;
+  const size_t non_null = size_ - null_count;
+  if (type_ == TypeId::kBool) return size_;
+  if (type_ != TypeId::kString) return 8 * non_null + null_count;
+  n = null_count + 4 * non_null;
+  for (size_t i = 0; i < size_; ++i) {
+    if (IsNull(i)) continue;
+    n += encoding_ == ColumnEncoding::kDictionary ? (*dict_)[codes_[i]].size()
+                                                  : strs_[i].size();
+  }
+  return n;
+}
+
+Value ColumnChunk::GetValue(size_t i) const {
+  if (encoding_ == ColumnEncoding::kBoxed) return boxed_[i];
+  if (IsNull(i)) return Value::Null(type_);
+  int64_t v = 0;
+  switch (encoding_) {
+    case ColumnEncoding::kPlain:
+      if (type_ == TypeId::kDouble) return Value::Double(f64_[i]);
+      if (type_ == TypeId::kString) return Value::String(strs_[i]);
+      v = i64_[i];
+      break;
+    case ColumnEncoding::kDictionary:
+      return Value::String((*dict_)[codes_[i]]);
+    case ColumnEncoding::kRle:
+      v = run_values_[RunIndexFor(run_starts_, i)];
+      break;
+    case ColumnEncoding::kFor:
+      v = static_cast<int64_t>(static_cast<uint64_t>(for_ref_) + codes_[i]);
+      break;
+    case ColumnEncoding::kBoxed:
+      break;
+  }
+  switch (type_) {
+    case TypeId::kBool:
+      return Value::Bool(v != 0);
+    case TypeId::kDate:
+      return Value::Date(v);
+    default:
+      return Value::Int64(v);
+  }
 }
 
 void ColumnChunk::AppendNormalizedKey(size_t i, std::string* out) const {
@@ -275,22 +431,16 @@ void ColumnChunk::AppendNormalizedKey(size_t i, std::string* out) const {
   }
   switch (encoding_) {
     case ColumnEncoding::kPlain:
-      switch (type_) {
-        case TypeId::kBool:
-        case TypeId::kInt64:
-        case TypeId::kDate:
-          AppendNormalizedInt64Key(i64_[i], out);
-          return;
-        case TypeId::kDouble:
-          AppendNormalizedDoubleKey(f64_[i], out);
-          return;
-        case TypeId::kString:
-          AppendNormalizedStringKey(strs_[i], out);
-          return;
+      if (type_ == TypeId::kDouble) {
+        AppendNormalizedDoubleKey(f64_[i], out);
+      } else if (type_ == TypeId::kString) {
+        AppendNormalizedStringKey(strs_[i], out);
+      } else {
+        AppendNormalizedInt64Key(i64_[i], out);
       }
       return;
     case ColumnEncoding::kDictionary:
-      AppendNormalizedStringKey(dict_[codes_[i]], out);
+      AppendNormalizedStringKey((*dict_)[codes_[i]], out);
       return;
     case ColumnEncoding::kRle:
       AppendNormalizedInt64Key(run_values_[RunIndexFor(run_starts_, i)], out);
@@ -303,33 +453,6 @@ void ColumnChunk::AppendNormalizedKey(size_t i, std::string* out) const {
     case ColumnEncoding::kBoxed:
       return;
   }
-}
-
-std::shared_ptr<const ChunkedTable> ChunkedTable::FromRows(
-    const Schema& schema, const std::vector<Row>& rows) {
-  const size_t width = schema.num_fields();
-  for (const Row& r : rows) {
-    if (r.size() != width) return nullptr;
-  }
-  auto t = std::make_shared<ChunkedTable>();
-  t->num_rows_ = rows.size();
-  t->columns_.reserve(width);
-  for (size_t c = 0; c < width; ++c) {
-    t->columns_.push_back(ColumnChunk::Encode(rows, c, schema.field(c).type));
-  }
-  return t;
-}
-
-size_t ChunkedTable::EncodedSize() const {
-  size_t total = 0;
-  for (const ColumnChunk& c : columns_) total += c.EncodedSize();
-  return total;
-}
-
-size_t ChunkedTable::DecodedSize() const {
-  size_t total = 0;
-  for (const ColumnChunk& c : columns_) total += c.DecodedSize();
-  return total;
 }
 
 }  // namespace xdb

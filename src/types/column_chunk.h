@@ -12,45 +12,70 @@ namespace xdb {
 
 using Row = std::vector<Value>;
 
-/// \brief Physical encoding chosen for one column chunk.
+/// \brief Physical encoding of one column chunk.
 enum class ColumnEncoding : uint8_t {
   kPlain,       // typed vector, one slot per lane
   kDictionary,  // string dictionary + per-lane codes
   kRle,         // run-length encoded int64 runs (null-free columns only)
   kFor,         // frame-of-reference: base value + narrow per-lane offsets
-  kBoxed,       // vector<Value> fallback (mixed/unknown lane types)
+  kBoxed,       // vector<Value> fallback (lanes whose type tags disagree)
 };
 
 const char* ColumnEncodingToString(ColumnEncoding e);
 
-/// \brief One column of a table in columnar form.
+/// \brief One column of a Table: the lanes of a declared type.
 ///
-/// Encode() picks the cheapest representation per column: strings get a
+/// Columns built by appending values (AppendRow, operator outputs) are plain
+/// typed vectors with a NULL bytemap. A lane whose type tag differs from the
+/// declared type — a double in an int64 column, or a NULL carrying another
+/// type's tag — turns the column boxed, so GetValue() reconstructs every
+/// lane exactly: type tag, NULL-ness and double bit pattern included.
+///
+/// Encode() picks the cheapest representation: strings get a
 /// first-occurrence dictionary with narrow codes when that beats plain,
 /// int64-class columns (bool/int64/date) get RLE when the run structure pays
 /// for itself or frame-of-reference offsets when the value range fits a
-/// narrow width (keys, dates, and years almost always do), everything whose
-/// lanes do not all match the declared schema
-/// type falls back to boxed Values (bit-identical trivially). Decoding via
-/// GetValue() reconstructs the original Value exactly — type tag, NULL-ness
-/// and double bit patterns included — which the Columnar* property tests
-/// assert across randomized tables.
+/// narrow width. Base tables are encoded at load time; operators read any
+/// encoding, and Gather() keeps a dictionary (code space survives filters
+/// and joins) while decoding RLE and FOR lanes to plain.
 ///
-/// EncodedSize() is the modelled wire width of the chunk (what the columnar
-/// wire format charges); DecodedSize() matches the row-format accounting
-/// (sum of Value::SerializedSize). EncodedSize() <= DecodedSize() always:
-/// dictionary/RLE are only chosen when smaller, plain equals the row width,
-/// and the null bytemap never costs more than row-format NULL markers.
+/// EncodedSize() is the modelled wire width of the encoded chunk (what the
+/// columnar wire format charges); DecodedSize() is the row-format width (sum
+/// of Value::SerializedSize). EncodedSize() <= DecodedSize() always.
 class ColumnChunk {
  public:
-  /// Encodes column `col` of `rows` (declared schema type `declared`).
-  static ColumnChunk Encode(const std::vector<Row>& rows, size_t col,
-                            TypeId declared);
+  ColumnChunk() = default;
+  /// An empty plain column of declared type `type`.
+  explicit ColumnChunk(TypeId type) : type_(type) {}
+
+  /// Plain int64-class / double lanes with a NULL bytemap (sized like the
+  /// payload, or empty when no lane is NULL). NULL lanes carry `type`'s tag.
+  static ColumnChunk Int64s(TypeId type, std::vector<int64_t> values,
+                            std::vector<uint8_t> nulls);
+  static ColumnChunk Doubles(std::vector<double> values,
+                             std::vector<uint8_t> nulls);
+  /// Lanes holding `values`; boxed when any tag differs from `type`.
+  static ColumnChunk FromValues(TypeId type, std::vector<Value> values);
+
+  /// Re-encodes the lanes in place into the cheapest of the five encodings.
+  void Encode();
+
+  /// Lanes idx[0], idx[1], ... as a new chunk of the same declared type.
+  ColumnChunk Gather(const std::vector<uint32_t>& idx) const;
+
+  void Append(const Value& v);
+  /// Appends all of `other`'s lanes (concatenating morsel outputs).
+  void Append(ColumnChunk other);
+  void Reserve(size_t n);
 
   ColumnEncoding encoding() const { return encoding_; }
   TypeId type() const { return type_; }
   size_t size() const { return size_; }
-  bool IsNull(size_t i) const { return !nulls_.empty() && nulls_[i] != 0; }
+  bool IsNull(size_t i) const {
+    return encoding_ == ColumnEncoding::kBoxed
+               ? boxed_[i].is_null()
+               : !nulls_.empty() && nulls_[i] != 0;
+  }
 
   /// Reconstructs lane `i` as the exact original Value.
   Value GetValue(size_t i) const;
@@ -59,59 +84,42 @@ class ColumnChunk {
   /// Value::AppendNormalizedKey on the decoded value (shared primitives).
   void AppendNormalizedKey(size_t i, std::string* out) const;
 
-  size_t EncodedSize() const { return encoded_size_; }
-  size_t DecodedSize() const { return decoded_size_; }
+  /// What Encode() would charge on the wire for these lanes.
+  size_t EncodedSize() const;
+  /// Row-format width: NULL 1 B, bool 1 B, int64/double/date 8 B, string
+  /// 4 B plus its length.
+  size_t DecodedSize() const;
 
   // Typed payload access for the vectorized kernels. Valid per encoding().
   const std::vector<int64_t>& i64_data() const { return i64_; }
   const std::vector<double>& f64_data() const { return f64_; }
-  const std::vector<std::string>& dict() const { return dict_; }
+  const std::vector<std::string>& str_data() const { return strs_; }
+  const std::vector<std::string>& dict() const { return *dict_; }
   const std::vector<uint32_t>& codes() const { return codes_; }
-  const std::vector<int64_t>& run_values() const { return run_values_; }
-  const std::vector<uint32_t>& run_starts() const { return run_starts_; }
-  int64_t for_ref() const { return for_ref_; }
-  const std::vector<uint8_t>& null_bytemap() const { return nulls_; }
-  const std::vector<Value>& boxed() const { return boxed_; }
 
  private:
-  ColumnEncoding encoding_ = ColumnEncoding::kBoxed;
+  /// Decodes dictionary, RLE and FOR lanes back to plain (in place).
+  void Decode();
+
+  ColumnEncoding encoding_ = ColumnEncoding::kPlain;
   TypeId type_ = TypeId::kInt64;
   size_t size_ = 0;
   std::vector<uint8_t> nulls_;  // 1 = NULL; empty when the column has none
   std::vector<int64_t> i64_;    // kPlain bool/int64/date payload
   std::vector<double> f64_;     // kPlain double payload
   std::vector<std::string> strs_;  // kPlain string payload
-  std::vector<std::string> dict_;  // kDictionary: first-occurrence order
-  std::vector<uint32_t> codes_;    // kDictionary: per-lane dict index;
-                                   // kFor: per-lane offset from for_ref_
-  int64_t for_ref_ = 0;            // kFor: base (minimum non-null) value
+  // kDictionary: first-occurrence dictionary, shared by gathered chunks.
+  std::shared_ptr<const std::vector<std::string>> dict_;
+  std::vector<uint32_t> codes_;  // kDictionary: per-lane dict index;
+                                 // kFor: per-lane offset from for_ref_
+  int64_t for_ref_ = 0;          // kFor: base (minimum non-null) value
   std::vector<int64_t> run_values_;   // kRle: value of each run
   std::vector<uint32_t> run_starts_;  // kRle: first lane of each run (asc)
-  std::vector<Value> boxed_;          // kBoxed fallback
+  // kBoxed lanes; a column is boxed only while some lane's tag differs.
+  std::vector<Value> boxed_;
+  // Encode() sets both (its chosen wire width); an Append clears encoded_.
+  bool encoded_ = false;
   size_t encoded_size_ = 0;
-  size_t decoded_size_ = 0;
-};
-
-/// \brief Columnar mirror of a Table: one ColumnChunk per schema field.
-class ChunkedTable {
- public:
-  /// Encodes `rows` under `schema`. Returns nullptr if any row's width does
-  /// not match the schema (defensive: such tables stay on the row path).
-  static std::shared_ptr<const ChunkedTable> FromRows(
-      const Schema& schema, const std::vector<Row>& rows);
-
-  size_t num_rows() const { return num_rows_; }
-  size_t num_columns() const { return columns_.size(); }
-  const ColumnChunk& column(size_t c) const { return columns_[c]; }
-
-  /// Modelled wire width of the encoded table (sum over columns).
-  size_t EncodedSize() const;
-  /// Row-format width (matches Table::SerializedSize on the same rows).
-  size_t DecodedSize() const;
-
- private:
-  size_t num_rows_ = 0;
-  std::vector<ColumnChunk> columns_;
 };
 
 }  // namespace xdb

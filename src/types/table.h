@@ -1,10 +1,6 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -17,89 +13,58 @@ namespace xdb {
 /// \brief Approximate serialized size of a row (for transfer accounting).
 size_t RowSerializedSize(const Row& row);
 
-/// \brief In-memory relation: a schema plus a vector of rows.
+/// \brief In-memory relation: a schema plus one ColumnChunk per field.
 ///
-/// This is the storage substrate for the simulated DBMS nodes. Row store is
-/// deliberate: the paper's experiments are dominated by data movement, not by
-/// local scan micro-performance, and a row layout keeps the foreign-wrapper
-/// streaming path simple.
+/// This is the storage substrate of the simulated DBMS nodes and the only
+/// thing operators pass to each other: typed columns, encoded at load time
+/// for base tables and gathered by index for operator outputs. Rows exist
+/// only at the edges — AppendRow and the row constructor build columns, and
+/// rows()/row() decode fresh copies for printing, oracles and tests. A table
+/// is built by one writer and read-only once shared, so concurrent const
+/// readers need no synchronization.
 class Table {
  public:
   Table() = default;
-  explicit Table(Schema schema) : schema_(std::move(schema)) {}
-  Table(Schema schema, std::vector<Row> rows)
-      : schema_(std::move(schema)), rows_(std::move(rows)) {}
+  explicit Table(Schema schema);
+  Table(Schema schema, std::vector<Row> rows);
+  /// Operator output: `columns[c]` holds `num_rows` lanes of declared type
+  /// `schema.field(c).type` (the type Encode() and the wire sizes use).
+  Table(Schema schema, std::vector<ColumnChunk> columns, size_t num_rows);
 
   const Schema& schema() const { return schema_; }
-  size_t num_rows() const { return rows_.size(); }
-  const std::vector<Row>& rows() const { return rows_; }
-  std::vector<Row>& mutable_rows() {
-    // Handing out mutable rows bumps the generation: the derived caches
-    // (serialized size, chunked mirror) lazily revalidate on next read
-    // instead of being rebuilt eagerly, so repeated read-modify cycles cost
-    // one rebuild per burst and pure readers never pay anything.
-    BumpGeneration();
-    return rows_;
-  }
-  const Row& row(size_t i) const { return rows_[i]; }
+  size_t num_rows() const { return num_rows_; }
+  const std::vector<ColumnChunk>& columns() const { return columns_; }
+  const ColumnChunk& column(size_t c) const { return columns_[c]; }
 
-  void AppendRow(Row row) {
-    rows_.push_back(std::move(row));
-    BumpGeneration();
-  }
+  /// Decodes every row (a fresh copy on each call).
+  std::vector<Row> rows() const;
+  /// Decodes row `i`.
+  Row row(size_t i) const;
 
-  /// Pre-sizes the row vector for `n` total rows (see std::vector::reserve);
-  /// output paths that know their cardinality use this to avoid repeated
-  /// reallocation while appending.
-  void Reserve(size_t n) { rows_.reserve(n); }
+  /// Appends one row of schema().num_fields() values.
+  void AppendRow(const Row& row);
+  /// Pre-sizes every column for `n` total rows.
+  void Reserve(size_t n);
 
-  /// Monotone mutation counter; derived caches key off it.
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_relaxed);
-  }
+  /// Re-encodes every column into its cheapest encoding (base tables, at
+  /// load time).
+  void Encode();
 
-  /// Total approximate serialized size of all rows in row format (what the
-  /// classic wire mode ships). Cached per generation: this sits on the
-  /// transfer-accounting path of every foreign fetch.
+  /// Total serialized size of all rows in row format (what the classic wire
+  /// mode ships).
   size_t SerializedSize() const;
 
-  /// Wire width of the columnar encoding (dictionary/RLE compressed; see
-  /// ColumnChunk). Encodes and caches the chunked mirror on first call.
-  /// Always <= SerializedSize(); falls back to it when the rows cannot be
-  /// chunked (ragged widths).
+  /// Wire width of the columnar encoding (dictionary/RLE/FOR compressed;
+  /// see ColumnChunk). Always <= SerializedSize().
   size_t EncodedSerializedSize() const;
-
-  /// Builds (or revalidates) the cached columnar mirror and returns it.
-  /// Thread-safe; nullptr only when the rows don't match the schema.
-  std::shared_ptr<const ChunkedTable> EnsureChunked() const;
-
-  /// The cached columnar mirror if one exists for the current generation,
-  /// else nullptr. Never encodes — operators use this so only tables that
-  /// were chunked up front (base tables at load time) take the column path.
-  std::shared_ptr<const ChunkedTable> chunked() const;
 
   /// Renders the first `max_rows` rows as an ASCII table (for examples).
   std::string ToDisplayString(size_t max_rows = 20) const;
 
  private:
-  static constexpr uint64_t kNoGeneration =
-      std::numeric_limits<uint64_t>::max();
-
-  void BumpGeneration() {
-    generation_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   Schema schema_;
-  std::vector<Row> rows_;
-  // Mutations are single-writer (executor output paths); the caches below
-  // may be filled from concurrent const readers (tables are shared
-  // read-only across morsel workers), hence the mutex + atomic generation.
-  std::atomic<uint64_t> generation_{0};
-  mutable std::mutex cache_mu_;
-  mutable uint64_t size_generation_ = kNoGeneration;
-  mutable size_t cached_size_ = 0;
-  mutable uint64_t chunk_generation_ = kNoGeneration;
-  mutable std::shared_ptr<const ChunkedTable> chunks_;
+  std::vector<ColumnChunk> columns_;
+  size_t num_rows_ = 0;
 };
 
 using TablePtr = std::shared_ptr<Table>;

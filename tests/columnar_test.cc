@@ -1,10 +1,9 @@
-// Property tests for the columnar chunk storage (ISSUE 7): every encoding
-// (plain / dictionary / RLE / frame-of-reference / boxed) must round-trip
+// Property tests for the columnar storage: every encoding (plain /
+// dictionary / RLE / frame-of-reference / boxed) must round-trip
 // bit-identically to the row it was built from, the code-space kernels must
-// match the scalar evaluator bit for bit, the Table facade's generation
-// counter must keep the derived caches coherent under mutation and
-// concurrent readers, and the columnar wire must never change a federated
-// query's result — only shrink its bytes.
+// match the scalar evaluator bit for bit, a Table's sizes must follow
+// AppendRow and agree across concurrent readers, and the columnar wire must
+// never change a federated query's result — only shrink its bytes.
 //
 // Suite names all start with "Columnar" so the ASan/UBSan and TSan CI jobs
 // pick them up by regex.
@@ -108,6 +107,15 @@ std::vector<Row> GenerateColumn(const ColumnSpec& spec, size_t n,
   return rows;
 }
 
+// Column 0 of `rows` as an encoded chunk of declared type `t`.
+ColumnChunk EncodeColumn(const std::vector<Row>& rows, TypeId t) {
+  std::vector<Value> lanes;
+  for (const Row& r : rows) lanes.push_back(r[0]);
+  ColumnChunk c = ColumnChunk::FromValues(t, std::move(lanes));
+  c.Encode();
+  return c;
+}
+
 TEST(ColumnarRoundTrip, RandomizedBitIdentity) {
   std::mt19937 rng(20230407);
   const TypeId types[] = {TypeId::kBool, TypeId::kInt64, TypeId::kDate,
@@ -127,7 +135,7 @@ TEST(ColumnarRoundTrip, RandomizedBitIdentity) {
     spec.mixed_types = trial % 29 == 0;
     const size_t n = len(rng);
     std::vector<Row> rows = GenerateColumn(spec, n, &rng);
-    ColumnChunk chunk = ColumnChunk::Encode(rows, 0, spec.type);
+    ColumnChunk chunk = EncodeColumn(rows, spec.type);
     SCOPED_TRACE("trial " + std::to_string(trial) + " encoding " +
                  ColumnEncodingToString(chunk.encoding()) + " n=" +
                  std::to_string(n));
@@ -151,8 +159,8 @@ TEST(ColumnarRoundTrip, RandomizedBitIdentity) {
 
 TEST(ColumnarEncodingChoice, PicksTheCheapRepresentation) {
   std::mt19937 rng(99);
-  auto encode = [](std::vector<Row> rows, TypeId t) {
-    return ColumnChunk::Encode(rows, 0, t);
+  auto encode = [](const std::vector<Row>& rows, TypeId t) {
+    return EncodeColumn(rows, t);
   };
 
   // Low-cardinality strings dictionary-encode.
@@ -246,12 +254,11 @@ TEST(ColumnarBatchEquivalence, CodeSpaceFiltersMatchScalar) {
     });
   }
   Table table(schema, rows);
-  auto chunks = table.EnsureChunked();
-  ASSERT_NE(chunks, nullptr);
+  table.Encode();
   // The string column dictionary-encoded and the key column took FOR, so
   // the batch kernels below run in code space, not on decoded values.
-  EXPECT_EQ(chunks->column(1).encoding(), ColumnEncoding::kDictionary);
-  EXPECT_EQ(chunks->column(0).encoding(), ColumnEncoding::kFor);
+  EXPECT_EQ(table.column(1).encoding(), ColumnEncoding::kDictionary);
+  EXPECT_EQ(table.column(0).encoding(), ColumnEncoding::kFor);
 
   std::vector<ExprPtr> predicates;
   // Dictionary equality, including a literal absent from the dictionary.
@@ -276,8 +283,7 @@ TEST(ColumnarBatchEquivalence, CodeSpaceFiltersMatchScalar) {
     SCOPED_TRACE("predicate " + std::to_string(p));
     SelVector sel;
     SelRange(0, rows.size(), &sel);
-    RowBlock block{&rows, chunks.get()};
-    EvalPredicateBatch(*predicates[p], block, &sel);
+    EvalPredicateBatch(*predicates[p], table.columns(), &sel);
     SelVector expected;
     for (uint32_t i = 0; i < rows.size(); ++i) {
       if (EvalPredicate(*predicates[p], rows[i])) expected.push_back(i);
@@ -299,50 +305,52 @@ TEST(ColumnarBatchEquivalence, CodeSpaceFiltersMatchScalar) {
     SCOPED_TRACE("expr " + std::to_string(e));
     SelVector sel;
     SelRange(0, rows.size(), &sel);
-    std::vector<Value> out;
-    RowBlock block{&rows, chunks.get()};
-    EvalExprBatch(*exprs[e], block, sel, &out);
+    const ColumnChunk out = EvalExprBatch(*exprs[e], table.columns(), sel);
     ASSERT_EQ(out.size(), rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_TRUE(BitEqual(out[i], EvalExpr(*exprs[e], rows[i])))
+      EXPECT_TRUE(BitEqual(out.GetValue(i), EvalExpr(*exprs[e], rows[i])))
           << "lane " << i;
     }
   }
 }
 
-TEST(ColumnarTableCache, GenerationCounterKeepsCachesCoherent) {
+TEST(ColumnarTable, SizesFollowAppendRow) {
   Schema schema({{"a", TypeId::kInt64}, {"s", TypeId::kString}});
   Table t(schema);
+  EXPECT_EQ(t.SerializedSize(), 0u);
+  EXPECT_EQ(t.EncodedSerializedSize(), 0u);
+  size_t size = 0;
   for (int i = 0; i < 100; ++i) {
-    t.AppendRow(Row{Value::Int64(i % 4), Value::String("tag")});
+    const Row row{Value::Int64(i % 4), Value::String("tag")};
+    size += RowSerializedSize(row);
+    t.AppendRow(row);
+    ASSERT_EQ(t.SerializedSize(), size);
   }
-  const uint64_t gen0 = t.generation();
-  const size_t size0 = t.SerializedSize();
-  EXPECT_EQ(t.chunked(), nullptr);  // never encoded yet
-  auto chunks0 = t.EnsureChunked();
-  ASSERT_NE(chunks0, nullptr);
-  EXPECT_EQ(t.chunked(), chunks0);          // cached for this generation
-  EXPECT_EQ(t.EnsureChunked(), chunks0);    // no rebuild
-  EXPECT_LE(t.EncodedSerializedSize(), size0);
+  EXPECT_EQ(size, 100u * 8 + 100u * (4 + 3));
+  const size_t encoded = t.EncodedSerializedSize();
+  EXPECT_LT(encoded, size);
 
-  // Reading mutable_rows() must bump the generation even if the caller
-  // never writes — the caches cannot tell, so they must revalidate.
-  (void)t.mutable_rows();
-  EXPECT_GT(t.generation(), gen0);
-  EXPECT_EQ(t.chunked(), nullptr);  // stale mirror is not handed out
+  // Encoding changes the representation, never the sizes.
+  Table enc = t;
+  enc.Encode();
+  EXPECT_EQ(enc.column(1).encoding(), ColumnEncoding::kDictionary);
+  EXPECT_EQ(enc.SerializedSize(), size);
+  EXPECT_EQ(enc.EncodedSerializedSize(), encoded);
 
-  // An actual mutation through the facade is visible after re-encoding.
-  t.mutable_rows()[0][0] = Value::Int64(999);
-  auto chunks1 = t.EnsureChunked();
-  ASSERT_NE(chunks1, nullptr);
-  EXPECT_NE(chunks1, chunks0);
-  EXPECT_TRUE(BitEqual(chunks1->column(0).GetValue(0), Value::Int64(999)));
-  EXPECT_EQ(t.SerializedSize(), size0);  // same shape, recomputed size
+  // A row appended to an encoded table shows in both sizes.
+  enc.AppendRow(Row{Value::Null(TypeId::kInt64), Value::String("tag")});
+  EXPECT_EQ(enc.num_rows(), 101u);
+  EXPECT_EQ(enc.SerializedSize(), size + 1 + 7);
+  EXPECT_GT(enc.EncodedSerializedSize(), encoded);
+  EXPECT_TRUE(BitEqual(enc.row(100)[0], Value::Null(TypeId::kInt64)));
 
-  // AppendRow invalidates too.
-  t.AppendRow(Row{Value::Int64(5), Value::String("tag")});
-  EXPECT_EQ(t.chunked(), nullptr);
-  EXPECT_EQ(t.EnsureChunked()->num_rows(), 101u);
+  // A lane with a foreign tag boxes its column, which ships at row width.
+  t.AppendRow(Row{Value::Double(2.5), Value::String("tag")});
+  EXPECT_EQ(t.column(0).encoding(), ColumnEncoding::kBoxed);
+  EXPECT_EQ(t.SerializedSize(), size + 8 + 7);
+  EXPECT_EQ(t.column(0).EncodedSize(), t.column(0).DecodedSize());
+  EXPECT_TRUE(BitEqual(t.row(100)[0], Value::Double(2.5)));
+  EXPECT_TRUE(BitEqual(t.row(99)[0], Value::Int64(3)));
 }
 
 TEST(ColumnarConcurrency, SharedTableReadersRace) {
@@ -352,27 +360,31 @@ TEST(ColumnarConcurrency, SharedTableReadersRace) {
     rows.push_back(
         Row{Value::Int64(i % 100), Value::String(i % 2 ? "x" : "y")});
   }
-  Table t(schema, std::move(rows));
-  // Concurrent first-touch: every reader may race to build the mirror; all
-  // must agree on the result and the sizes.
-  std::vector<std::thread> threads;
-  std::vector<size_t> sizes(8, 0);
-  std::vector<std::shared_ptr<const ChunkedTable>> seen(8);
-  for (int w = 0; w < 8; ++w) {
-    threads.emplace_back([&t, &sizes, &seen, w] {
-      auto chunks = t.EnsureChunked();
-      seen[w] = chunks;
-      size_t acc = t.EncodedSerializedSize() + t.SerializedSize();
-      for (size_t i = 0; i < chunks->num_rows(); i += 997) {
-        acc += chunks->column(0).GetValue(i).int64_value();
-      }
-      sizes[w] = acc;
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int w = 1; w < 8; ++w) {
-    EXPECT_EQ(seen[w], seen[0]);
-    EXPECT_EQ(sizes[w], sizes[0]);
+  // Concurrent const readers of one shared table — as built and encoded —
+  // see the same sizes, lanes and batch results.
+  const Table plain(schema, std::move(rows));
+  Table encoded = plain;
+  encoded.Encode();
+  ExprPtr pred = Expr::Binary(
+      BinaryOp::kEq, Expr::BoundColumn(1, TypeId::kString, "s"),
+      Expr::Literal(Value::String("x")));
+  for (const Table* t : {&plain, static_cast<const Table*>(&encoded)}) {
+    std::vector<std::thread> threads;
+    std::vector<size_t> sums(8, 0);
+    for (int w = 0; w < 8; ++w) {
+      threads.emplace_back([t, &pred, &sums, w] {
+        size_t acc = t->EncodedSerializedSize() + t->SerializedSize();
+        for (size_t i = 0; i < t->num_rows(); i += 997) {
+          acc += static_cast<size_t>(t->column(0).GetValue(i).int64_value());
+        }
+        SelVector sel;
+        SelRange(0, t->num_rows(), &sel);
+        EvalPredicateBatch(*pred, t->columns(), &sel);
+        sums[w] = acc + sel.size();
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (int w = 1; w < 8; ++w) EXPECT_EQ(sums[w], sums[0]);
   }
 }
 

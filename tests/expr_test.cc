@@ -137,6 +137,35 @@ TEST(ExprBindTest, UnknownColumnFails) {
   EXPECT_TRUE(bound.status().IsBindError());
 }
 
+TEST(ExprBindTest, UnknownFunctionIsRejected) {
+  for (const char* text : {"upper(s)", "nosuchfn(a)", "nosuchfn(a) IS NULL"}) {
+    auto bound = BindExpr(Parse(text), TestSchema());
+    ASSERT_FALSE(bound.ok()) << text;
+    EXPECT_EQ(bound.status().code(), StatusCode::kNotImplemented) << text;
+  }
+  auto bound = BindExpr(Parse("upper(s)"), TestSchema());
+  EXPECT_NE(bound.status().message().find("UPPER"), std::string::npos)
+      << bound.status().ToString();
+}
+
+TEST(ExprBindTest, WrongArityIsRejected) {
+  for (const char* text : {"abs(a, b)", "round(b, 1, 2)", "substring(s, 1)",
+                           "coalesce()"}) {
+    auto bound = BindExpr(Parse(text), TestSchema());
+    ASSERT_FALSE(bound.ok()) << text;
+    EXPECT_EQ(bound.status().code(), StatusCode::kNotImplemented) << text;
+  }
+  EXPECT_TRUE(BindExpr(Parse("round(b)"), TestSchema()).ok());
+  EXPECT_TRUE(BindExpr(Parse("coalesce(a, b, 1)"), TestSchema()).ok());
+}
+
+TEST(ExprBindTest, ExtractYearNeedsADate) {
+  auto bound = BindExpr(Parse("EXTRACT(YEAR FROM s)"), TestSchema());
+  ASSERT_FALSE(bound.ok());
+  EXPECT_TRUE(bound.status().IsBindError()) << bound.status().ToString();
+  EXPECT_FALSE(BindExpr(Parse("EXTRACT(YEAR FROM a)"), TestSchema()).ok());
+}
+
 TEST(ExprBindTest, QualifierResolution) {
   Schema schema({{"id", TypeId::kInt64}, {"id", TypeId::kInt64}});
   std::vector<std::string> quals = {"c", "o"};

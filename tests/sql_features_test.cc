@@ -171,5 +171,18 @@ TEST_F(SqlFeaturesFixture, ExplainStatementProducesPlanText) {
   EXPECT_NE(all.find("cost="), std::string::npos);
 }
 
+TEST_F(SqlFeaturesFixture, UnsupportedFunctionsAreRejectedNotAnsweredNull) {
+  for (const char* q : {"SELECT upper(name) FROM emps",
+                        "SELECT nosuchfn(id) FROM emps",
+                        "SELECT id FROM emps WHERE nosuchfn(id) IS NULL"}) {
+    auto r = d2_->ExecuteQuery(q);
+    ASSERT_FALSE(r.ok()) << q;
+    EXPECT_EQ(r.status().code(), StatusCode::kNotImplemented) << q;
+  }
+  auto r = d2_->ExecuteQuery("SELECT EXTRACT(YEAR FROM name) FROM emps");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsBindError()) << r.status().ToString();
+}
+
 }  // namespace
 }  // namespace xdb

@@ -191,6 +191,32 @@ TEST(ParserTest, DistinctIsRejectedNotIgnored) {
             StatusCode::kNotImplemented);
 }
 
+TEST(ParserTest, IntegerLiteralsParseExactly) {
+  // 2^53 + 1 is not a double; it must not round on the way through.
+  auto r = ParseSelect("SELECT a FROM t WHERE a = 9007199254740993");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ((*r)->where->children[1]->literal.int64_value(),
+            int64_t{9007199254740993});
+  EXPECT_EQ((*r)->where->ToSql(), "(a = 9007199254740993)");
+}
+
+TEST(ParserTest, IntegerLiteralOutOfRangeIsAParseError) {
+  for (const char* q : {"SELECT a FROM t WHERE a = 99999999999999999999",
+                        "SELECT a FROM t LIMIT 99999999999999999999"}) {
+    auto r = ParseSelect(q);
+    ASSERT_FALSE(r.ok()) << q;
+    EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+  }
+}
+
+TEST(ParserTest, OverflowingDoubleIsAParseError) {
+  auto r = ParseSelect("SELECT a FROM t WHERE a = 1e999");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+  // Underflow is not an error: it rounds toward zero.
+  EXPECT_TRUE(ParseSelect("SELECT a FROM t WHERE a = 1e-999").ok());
+}
+
 }  // namespace
 }  // namespace sql
 }  // namespace xdb

@@ -175,6 +175,21 @@ ExprPtr GenBool(std::mt19937* rng, int depth) {
   }
 }
 
+/// The random rows as tables: as built (plain columns) and encoded.
+std::vector<Table> AsTables(const std::vector<Row>& rows) {
+  Table plain(Schema({{"a", TypeId::kInt64},
+                      {"b", TypeId::kInt64},
+                      {"x", TypeId::kDouble},
+                      {"y", TypeId::kDouble},
+                      {"d", TypeId::kDate},
+                      {"flag", TypeId::kBool},
+                      {"s", TypeId::kString}}),
+              rows);
+  Table encoded = plain;
+  encoded.Encode();
+  return {plain, encoded};
+}
+
 /// Checks batch == scalar on a full and on a random sparse selection.
 void CheckExpr(const Expr& e, const std::vector<Row>& rows,
                std::mt19937* rng) {
@@ -184,31 +199,35 @@ void CheckExpr(const Expr& e, const std::vector<Row>& rows,
   for (uint32_t i = 0; i < rows.size(); ++i) {
     if ((*rng)() % 3 == 0) sparse.push_back(i);
   }
-  for (const SelVector& sel : {full, sparse}) {
-    std::vector<Value> batch;
-    EvalExprBatch(e, rows, sel, &batch);
-    ASSERT_EQ(batch.size(), sel.size());
-    for (size_t i = 0; i < sel.size(); ++i) {
-      Value scalar = EvalExpr(e, rows[sel[i]]);
-      ASSERT_TRUE(BitEqual(batch[i], scalar))
-          << e.ToSql() << " row " << sel[i] << ": batch="
-          << batch[i].ToString() << " (" << TypeIdToString(batch[i].type())
-          << (batch[i].is_null() ? ",null" : "") << ") scalar="
-          << scalar.ToString() << " (" << TypeIdToString(scalar.type())
-          << (scalar.is_null() ? ",null" : "") << ")";
+  for (const Table& table : AsTables(rows)) {
+    for (const SelVector& sel : {full, sparse}) {
+      const ColumnChunk batch = EvalExprBatch(e, table.columns(), sel);
+      ASSERT_EQ(batch.size(), sel.size());
+      for (size_t i = 0; i < sel.size(); ++i) {
+        const Value lane = batch.GetValue(i);
+        Value scalar = EvalExpr(e, rows[sel[i]]);
+        ASSERT_TRUE(BitEqual(lane, scalar))
+            << e.ToSql() << " row " << sel[i] << ": batch="
+            << lane.ToString() << " (" << TypeIdToString(lane.type())
+            << (lane.is_null() ? ",null" : "") << ") scalar="
+            << scalar.ToString() << " (" << TypeIdToString(scalar.type())
+            << (scalar.is_null() ? ",null" : "") << ")";
+      }
     }
   }
 }
 
 void CheckPredicate(const Expr& e, const std::vector<Row>& rows) {
-  SelVector sel;
-  SelRange(0, rows.size(), &sel);
-  EvalPredicateBatch(e, rows, &sel);
   SelVector expected;
   for (uint32_t i = 0; i < rows.size(); ++i) {
     if (EvalPredicate(e, rows[i])) expected.push_back(i);
   }
-  ASSERT_EQ(sel, expected) << e.ToSql();
+  for (const Table& table : AsTables(rows)) {
+    SelVector sel;
+    SelRange(0, rows.size(), &sel);
+    EvalPredicateBatch(e, table.columns(), &sel);
+    ASSERT_EQ(sel, expected) << e.ToSql();
+  }
 }
 
 TEST(VectorizedExprTest, RandomizedNumericExprsMatchScalarBitForBit) {
@@ -285,11 +304,10 @@ TEST(VectorizedExprTest, EmptySelectionYieldsNothing) {
   ExprPtr e = Expr::Binary(BinaryOp::kAdd,
                            Expr::BoundColumn(kColA, TypeId::kInt64, "a"),
                            Expr::Literal(Value::Int64(1)));
+  const Table table = AsTables(rows)[0];
   SelVector sel;
-  std::vector<Value> out;
-  EvalExprBatch(*e, rows, sel, &out);
-  EXPECT_TRUE(out.empty());
-  EvalPredicateBatch(*e, rows, &sel);
+  EXPECT_EQ(EvalExprBatch(*e, table.columns(), sel).size(), 0u);
+  EvalPredicateBatch(*e, table.columns(), &sel);
   EXPECT_TRUE(sel.empty());
 }
 

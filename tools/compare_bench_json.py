@@ -12,13 +12,19 @@ Modelled values are deterministic, so the threshold only absorbs intended
 re-calibrations — real regressions show up as large jumps. wall_seconds is
 wall clock and therefore ignored entirely.
 
+With --exact the documents must instead be equal, value for value, once
+every key whose name contains "wall" is dropped (wall-clock numbers are the
+only legitimately nondeterministic fields); the first differing path is
+printed. A change that claims not to move any modelled figure runs this.
+
 Usage:
   python3 tools/compare_bench_json.py baseline.json current.json \
-      [--threshold 0.05] [--report diff.txt]
+      [--threshold 0.05] [--report diff.txt] [--exact]
 
-Exit codes: 0 = no regression, 1 = regression or unreadable input,
-2 = usage error. Improvements and missing/new runs are reported but never
-fail the comparison (new queries must be able to land with their baseline).
+Exit codes: 0 = no regression, 1 = regression (or, with --exact, any
+difference) or unreadable input, 2 = usage error. Without --exact,
+improvements and missing/new runs are reported but never fail the
+comparison (new queries must be able to land with their baseline).
 """
 
 import argparse
@@ -99,6 +105,34 @@ def compare(baseline, current, threshold):
     return lines, regressions
 
 
+def without_wall(node):
+    """The document with every key containing "wall" dropped, recursively."""
+    if isinstance(node, dict):
+        return {k: without_wall(v) for k, v in node.items() if "wall" not in k}
+    if isinstance(node, list):
+        return [without_wall(v) for v in node]
+    return node
+
+
+def first_difference(a, b, path="$"):
+    """The path of the first difference between two JSON values, or None."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                return f"{path}.{key}"
+            diff = first_difference(a[key], b[key], f"{path}.{key}")
+            if diff:
+                return diff
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            diff = first_difference(x, y, f"{path}[{i}]")
+            if diff:
+                return diff
+        return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
+    return None if a == b else path
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description="Diff two bench JSON files; fail on regressions.")
@@ -109,12 +143,25 @@ def main(argv):
                              "(default 0.05 = 5%%)")
     parser.add_argument("--report", default=None,
                         help="also write the diff lines to this file")
+    parser.add_argument("--exact", action="store_true",
+                        help="require equal documents, ignoring keys that "
+                             "contain 'wall'")
     args = parser.parse_args(argv[1:])
 
     baseline = load(args.baseline)
     current = load(args.current)
     if baseline is None or current is None:
         return 1
+
+    if args.exact:
+        diff = first_difference(without_wall(baseline), without_wall(current))
+        if diff:
+            print(f"FAIL: {args.baseline} and {args.current} differ at {diff}",
+                  file=sys.stderr)
+            return 1
+        print(f"OK: {args.current} equals {args.baseline} "
+              "(keys containing 'wall' ignored)")
+        return 0
 
     lines, regressions = compare(baseline, current, args.threshold)
     header = (f"baseline={args.baseline} current={args.current} "

@@ -30,6 +30,20 @@ const char* StatusCodeToString(StatusCode code) {
   return "Unknown";
 }
 
+const char* FaultOpToString(FaultOp op) {
+  switch (op) {
+    case FaultOp::kDdl:
+      return "ddl";
+    case FaultOp::kQuery:
+      return "query";
+    case FaultOp::kFetch:
+      return "fetch";
+    case FaultOp::kTransfer:
+      return "transfer";
+  }
+  return "unknown";
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out = StatusCodeToString(code());

@@ -34,6 +34,9 @@ const char* StatusCodeToString(StatusCode code);
 /// transfers on the simulated network.
 enum class FaultOp { kDdl, kQuery, kFetch, kTransfer };
 
+/// "ddl" | "query" | "fetch" | "transfer".
+const char* FaultOpToString(FaultOp op);
+
 /// \brief Where a failure struck: the server (for fetches and transfers,
 /// the producer, with the consumer as `peer`), the operation, and whether
 /// the link itself dropped. Set by the fault site; failover and health

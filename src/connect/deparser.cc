@@ -89,71 +89,9 @@ std::string AssembleSql(const FlatQuery& q,
 
 /// Renders a bound expression, substituting `cols[i]` for column i.
 std::string RenderExpr(const Expr& e, const std::vector<std::string>& cols) {
-  switch (e.kind) {
-    case ExprKind::kColumnRef:
-      return cols[static_cast<size_t>(e.column_index)];
-    case ExprKind::kLiteral:
-      return e.literal.ToSqlLiteral();
-    case ExprKind::kBinary:
-      return "(" + RenderExpr(*e.children[0], cols) + " " +
-             BinaryOpToSql(e.binary_op) + " " +
-             RenderExpr(*e.children[1], cols) + ")";
-    case ExprKind::kUnary:
-      switch (e.unary_op) {
-        case UnaryOp::kNot:
-          return "(NOT " + RenderExpr(*e.children[0], cols) + ")";
-        case UnaryOp::kNeg:
-          return "(-" + RenderExpr(*e.children[0], cols) + ")";
-        case UnaryOp::kIsNull:
-          return "(" + RenderExpr(*e.children[0], cols) + " IS NULL)";
-        case UnaryOp::kIsNotNull:
-          return "(" + RenderExpr(*e.children[0], cols) + " IS NOT NULL)";
-      }
-      return "?";
-    case ExprKind::kBetween:
-      return "(" + RenderExpr(*e.children[0], cols) + " BETWEEN " +
-             RenderExpr(*e.children[1], cols) + " AND " +
-             RenderExpr(*e.children[2], cols) + ")";
-    case ExprKind::kLike:
-      return "(" + RenderExpr(*e.children[0], cols) + " LIKE " +
-             RenderExpr(*e.children[1], cols) + ")";
-    case ExprKind::kInList: {
-      std::string out = "(" + RenderExpr(*e.children[0], cols) + " IN (";
-      for (size_t i = 1; i < e.children.size(); ++i) {
-        if (i > 1) out += ", ";
-        out += RenderExpr(*e.children[i], cols);
-      }
-      return out + "))";
-    }
-    case ExprKind::kCaseWhen: {
-      std::string out = "CASE";
-      size_t pairs = (e.children.size() - (e.case_has_else ? 1 : 0)) / 2;
-      for (size_t i = 0; i < pairs; ++i) {
-        out += " WHEN " + RenderExpr(*e.children[2 * i], cols) + " THEN " +
-               RenderExpr(*e.children[2 * i + 1], cols);
-      }
-      if (e.case_has_else) {
-        out += " ELSE " + RenderExpr(*e.children.back(), cols);
-      }
-      return out + " END";
-    }
-    case ExprKind::kFunction:
-      if (e.function_name == "extract_year") {
-        return "EXTRACT(YEAR FROM " + RenderExpr(*e.children[0], cols) + ")";
-      } else {
-        std::string out = ToUpper(e.function_name) + "(";
-        for (size_t i = 0; i < e.children.size(); ++i) {
-          if (i > 0) out += ", ";
-          out += RenderExpr(*e.children[i], cols);
-        }
-        return out + ")";
-      }
-    case ExprKind::kAggregate:
-      if (e.agg_kind == AggKind::kCountStar) return "COUNT(*)";
-      return std::string(AggKindToSql(e.agg_kind)) + "(" +
-             RenderExpr(*e.children[0], cols) + ")";
-  }
-  return "?";
+  return e.ToSql([&](const Expr& c) {
+    return cols[static_cast<size_t>(c.column_index)];
+  });
 }
 
 class Flattener {

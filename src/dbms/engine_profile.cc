@@ -1,6 +1,20 @@
 #include "src/dbms/engine_profile.h"
 
+#include <functional>
+
 namespace xdb {
+
+uint64_t EngineProfile::Fingerprint() const {
+  uint64_t h = std::hash<std::string>()(vendor);
+  for (double field :
+       {scan_row_cost, join_row_cost, agg_row_cost, sort_row_cost,
+        filter_row_cost, project_row_cost, materialize_row_cost, startup_cost,
+        fetch_row_cost, wire_inflation, static_cast<double>(parallelism),
+        parallel_fraction}) {
+    h = (h ^ std::hash<double>()(field)) * 1099511628211ULL;  // FNV-1a step
+  }
+  return h;
+}
 
 EngineProfile EngineProfile::Postgres() {
   EngineProfile p;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 namespace xdb {
@@ -37,6 +38,11 @@ struct EngineProfile {
 
   // Fraction of compute that benefits from parallelism (Amdahl).
   double parallel_fraction = 0.7;
+
+  /// Hash of every field above — extend it with each new field. The plan
+  /// cache keys on it: profiles that cost any plan differently must never
+  /// share an annotated plan.
+  uint64_t Fingerprint() const;
 
   /// PostgreSQL: fast OLAP-ish row engine, binary transfer protocol.
   static EngineProfile Postgres();

@@ -11,6 +11,11 @@ namespace {
 // Per-thread span-recorder override; concurrent sessions record their own
 // timelines (a SpanRecorder's open-span stack is single-threaded).
 thread_local SpanRecorder* t_span_override = nullptr;
+
+// When an injected link drop aborts a transfer, this fraction of the
+// payload is modelled as already on the wire (wasted bytes that still
+// count toward transfer accounting and modelled time).
+constexpr double kLinkDropFraction = 0.5;
 }  // namespace
 
 Federation::Federation() = default;
@@ -56,7 +61,6 @@ void Federation::BeginRun(const std::string& root_server) {
   rs.run.root_server = root_server;
   rs.stack.clear();
   rs.next_record_id = 0;
-  rs.control_messages = 0;
   rs.owner = this;
   rs.active = true;
 }
@@ -67,8 +71,8 @@ RunTrace Federation::FinishRun() {
   // transfers (and replanned-away rounds — each round is its own run) never
   // enter the ledger, so estimates always describe executed work.
   for (const auto& t : rs.run.transfers) {
-    // messages == 0 is the remote-evaluation-failure pop: nothing was
-    // delivered, so there is no actual to hold the estimate against.
+    // messages == 0 is a failed remote evaluation: nothing was delivered,
+    // so there is no actual to hold the estimate against.
     if (t.failed || t.est_rows < 0 || t.messages == 0) continue;
     EstimateActual ea;
     ea.op = "transfer";
@@ -96,10 +100,9 @@ RunTrace Federation::FinishRun() {
   rs.owner = nullptr;
   rs.run.per_server[rs.run.root_server].Add(rs.run.root_compute);
   if (metrics_ != nullptr) {
-    // Useful/wasted split is only final once the run closed (a transfer can
-    // be marked failed after its PopFetch), so bytes flush here — to the
-    // process-wide totals and, per transfer, to the producing server's and
-    // the link's labeled series.
+    // Bytes flush once per run — to the process-wide useful/wasted totals
+    // and, per transfer, to the producing server's and the link's labeled
+    // series.
     m_.bytes_useful->Increment(rs.run.UsefulTransferredBytes());
     m_.bytes_wasted->Increment(rs.run.WastedTransferredBytes());
     m_.backoff_seconds->Increment(rs.run.total_backoff_seconds);
@@ -119,10 +122,6 @@ RunTrace Federation::FinishRun() {
   return std::move(rs.run);
 }
 
-int Federation::control_messages() const {
-  return ThreadRun().control_messages;
-}
-
 ComputeTrace* Federation::CurrentTrace() {
   RunState& rs = ThreadRun();
   if (!ActiveHere(rs)) return &rs.scratch;
@@ -130,13 +129,117 @@ ComputeTrace* Federation::CurrentTrace() {
   return &rs.run.root_compute;
 }
 
-int Federation::PushFetch(const std::string& src, const std::string& dst,
-                          const std::string& relation, double est_rows,
-                          double est_bytes) {
+Federation::WireCharge Federation::ChargeWire(const Table& table,
+                                              double inflation) const {
+  WireCharge wire;
+  wire.raw = static_cast<double>(table.SerializedSize()) * inflation;
+  wire.encoded = wire_format_ == WireFormat::kColumnar;
+  wire.bytes = wire.encoded
+                   ? std::min(wire.raw, static_cast<double>(
+                                            table.EncodedSerializedSize()))
+                   : wire.raw;
+  return wire;
+}
+
+Result<TablePtr> Federation::Fetch(const DatabaseServer& consumer,
+                                   const std::string& producer,
+                                   const std::string& relation,
+                                   double est_rows, double est_bytes,
+                                   bool materialized) {
+  const std::string& dst = consumer.name();
+  DatabaseServer* remote = GetServer(producer);
+  if (remote == nullptr) {
+    return Status::NetworkError("unknown foreign server: " + producer);
+  }
+  if (!network_.IsReachable(dst, producer)) {
+    return Status::NetworkError("no connectivity between " + dst + " and " +
+                                producer);
+  }
+  const double inflation = std::max(consumer.profile().wire_inflation,
+                                    remote->profile().wire_inflation);
+  // The planner's byte estimate is in serialized row-format bytes; put it
+  // on the same wire-inflation basis as the observed charge so the byte
+  // q-error reflects cardinality/width error, not protocol constants.
+  const double est_wire_bytes = est_bytes < 0 ? -1 : est_bytes * inflation;
+
+  // One attempt end to end; an injected link drop aborts it mid-flight,
+  // wasting the bytes already sent.
+  TablePtr table;
+  RetryOutcome out = RunWithRetry(producer, FaultOp::kFetch, [&]() -> Status {
+    XDB_RETURN_NOT_OK(InjectFault(producer, FaultOp::kFetch, dst));
+    // Request message (the `SELECT * FROM relation` text).
+    network_.RecordTransfer(dst, producer, 128.0, 1);
+    OpenTransfer(producer, dst, relation, est_rows, est_wire_bytes);
+    Result<TablePtr> result = remote->ServeRemote(relation);
+    if (!result.ok()) {  // nothing went on the wire
+      CloseTransfer(0, WireCharge{}, 0, false, /*failed=*/false);
+      return result.status();
+    }
+    TablePtr t = std::move(result).value();
+    const WireCharge wire = ChargeWire(*t, inflation);
+    const double rows = static_cast<double>(t->num_rows());
+    const auto messages = static_cast<uint64_t>(Network::Batches(rows));
+    Status drop = InjectFault(producer, FaultOp::kTransfer, dst);
+    if (!drop.ok()) {
+      // Link dropped mid-transfer: the producer's compute and part of the
+      // payload are wasted but still accounted (they really happened).
+      const WireCharge wasted{wire.raw * kLinkDropFraction,
+                              wire.bytes * kLinkDropFraction, wire.encoded};
+      const uint64_t partial = std::max<uint64_t>(
+          1, static_cast<uint64_t>(static_cast<double>(messages) *
+                                   kLinkDropFraction));
+      network_.RecordTransfer(producer, dst, wasted.bytes, partial,
+                              wire.encoded);
+      CloseTransfer(0, wasted, partial, false, /*failed=*/true);
+      return drop;
+    }
+    network_.RecordTransfer(producer, dst, wire.bytes, messages,
+                            wire.encoded);
+    CloseTransfer(rows, wire, messages, materialized, /*failed=*/false);
+    table = std::move(t);
+    return Status::OK();
+  });
+  const Status& st = out.status;
+  if (st.ok()) return table;
+  // Graceful degradation: when the query opted into partial results, an
+  // undeliverable non-root fragment becomes an empty relation with the
+  // declared schema (available locally through the foreign-table mapping,
+  // like an FDW's) so joins and aggregates above it still run over the
+  // surviving fragments. The root query itself is never fetched, so the
+  // top of the plan cannot be substituted.
+  const BudgetState& budget = ThreadBudget();
+  if (st.IsRetryable() && budget.owner == this && budget.allow_partial) {
+    Result<Schema> schema = remote->DescribeRelation(relation);
+    if (schema.ok()) {
+      FragmentLoss loss;
+      loss.relation = relation;
+      loss.server = producer;
+      loss.consumer = dst;
+      loss.reason = out.budget_exhausted                  ? "deadline"
+                    : st.code() == StatusCode::kTimeout ? "link-drop"
+                                                        : "node-down";
+      if (Result<double> est = remote->EstimateRelationRows(relation);
+          est.ok()) {
+        loss.est_rows = *est;
+      }
+      RecordLostFragment(std::move(loss));
+      return std::make_shared<Table>(*schema);
+    }
+  }
+  // The site tells the callers up the stack whom the fetch loop charged.
+  Status failed = st.WithContext("foreign fetch of " + producer + "." +
+                                 relation + " by " + dst);
+  if (st.site() != nullptr) return failed;
+  return failed.WithSite({producer, dst, FaultOp::kFetch, false});
+}
+
+void Federation::OpenTransfer(const std::string& src, const std::string& dst,
+                              const std::string& relation, double est_rows,
+                              double est_bytes) {
   RunState& rs = ThreadRun();
   if (!ActiveHere(rs)) {
     rs.stack.push_back({-1, -1, ComputeTrace{}});
-    return -1;
+    return;
   }
   TransferRecord rec;
   rec.id = rs.next_record_id++;
@@ -163,53 +266,44 @@ int Federation::PushFetch(const std::string& src, const std::string& dst,
         ->Increment();
   }
   rs.stack.push_back({rec.id, span_id, ComputeTrace{}});
-  return rec.id;
 }
 
-void Federation::PopFetch(int id, double rows, double bytes,
-                          uint64_t messages, bool materialized,
-                          double raw_bytes) {
+void Federation::CloseTransfer(double rows, const WireCharge& wire,
+                               uint64_t messages, bool materialized,
+                               bool failed) {
   RunState& rs = ThreadRun();
   Frame frame = std::move(rs.stack.back());
   rs.stack.pop_back();
-  // span_id == -1 means no span was opened (no recorder at PushFetch);
+  // span_id == -1 means no span was opened (no recorder at OpenTransfer);
   // kDroppedSpan (sampled-out tree) must still be ended to keep the
   // recorder's open-span stack balanced.
   SpanRecorder* spans = span_recorder();
   if (spans != nullptr && frame.span_id != -1) {
     Span* sp = spans->mutable_span(frame.span_id);
     sp->Tag("rows", rows);
-    sp->Tag("bytes", bytes);
+    sp->Tag("bytes", wire.bytes);
     sp->Tag("messages", static_cast<int64_t>(messages));
     if (materialized) sp->Tag("materialized", std::string("true"));
     spans->EndSpan(frame.span_id);
   }
   if (metrics_ != nullptr) m_.fetch_rows->Increment(rows);
-  if (!ActiveHere(rs) || id < 0) return;
-  // Records are appended in id order (id == index within the run), so the
-  // lookup is O(1) — the previous linear scan made deeply-fetching runs
-  // quadratic in their transfer count.
-  size_t idx = static_cast<size_t>(id);
-  if (idx >= rs.run.transfers.size() || rs.run.transfers[idx].id != id) {
-    return;
-  }
-  TransferRecord& rec = rs.run.transfers[idx];
+  if (frame.record_id < 0) return;  // opened outside an active run
+  // Record ids are indices within the run.
+  TransferRecord& rec = rs.run.transfers[static_cast<size_t>(frame.record_id)];
   rec.rows = rows;
-  rec.bytes = bytes;
-  // Negative raw_bytes means "raw-row transfer": the wire bytes *are* the
-  // row-format bytes. Encoded transfers pass the uncompressed size so the
-  // per-transfer compression is preserved in the trace.
-  rec.raw_bytes = raw_bytes < 0 ? bytes : raw_bytes;
-  rec.encoded = raw_bytes >= 0;
+  rec.bytes = wire.bytes;
+  rec.raw_bytes = wire.raw;
+  rec.encoded = wire.encoded;
   rec.messages = messages;
   rec.materialized = materialized;
+  rec.failed = failed;
   rec.producer_compute = frame.trace;
   rs.run.per_server[rec.src].Add(frame.trace);
   if (metrics_ != nullptr) {
     metrics_->GetCounter("xdb_federation_fetch_rows_total",
                          {{"server", rec.src}})
         ->Increment(rows);
-    if (rec.encoded && bytes > 0) {
+    if (rec.encoded && wire.bytes > 0) {
       // Per relation *shape* (xdb_q12_t4 -> xdb_q*_t*): label cardinality
       // stays bounded by the schema rather than by query count.
       metrics_
@@ -217,7 +311,7 @@ void Federation::PopFetch(int id, double rows, double bytes,
                      {{"relation", CollapseDigitRuns(rec.relation)}},
                      "Raw/encoded byte ratio of the latest columnar "
                      "transfer of this relation shape")
-          ->Set(rec.raw_bytes / bytes);
+          ->Set(rec.raw_bytes / wire.bytes);
     }
   }
 }
@@ -240,10 +334,26 @@ Status Federation::InjectFault(const std::string& server, FaultOp op,
   return st;
 }
 
+RetryOutcome Federation::RunWithRetry(const std::string& server, FaultOp op,
+                                      const std::function<Status()>& attempt) {
+  // The loop stops early when the remaining deadline budget cannot cover
+  // the next backoff; only the backoff actually waited is charged.
+  RetryOutcome out =
+      RetryWithBackoffBudget(retry_policy_, attempt, RemainingBudget());
+  const Status& st = out.status;
+  if (out.attempts > 1 || st.IsRetryable()) {
+    RecordRetry({server, op, out.attempts, out.backoff_seconds, st.ok(),
+                 st.ok() ? std::string() : st.message()});
+  }
+  RecordHealthOutcome(server, out.attempts, st);
+  return out;
+}
+
 void Federation::RecordRetry(RetryEvent event) {
   SpanRecorder* spans = span_recorder();
   if (spans != nullptr && (event.attempts > 1 || !event.succeeded)) {
-    int64_t id = spans->StartSpan("retry " + event.op);
+    int64_t id = spans->StartSpan(std::string("retry ") +
+                                  FaultOpToString(event.op));
     Span* sp = spans->mutable_span(id);
     sp->duration_seconds = event.backoff_seconds;
     sp->Tag("server", event.server);
@@ -278,16 +388,6 @@ void Federation::NoteRecovery(RecoveryAction action) {
   rs.run.recovery_action = std::max(rs.run.recovery_action, action);
 }
 
-void Federation::MarkTransferFailed(int id) {
-  RunState& rs = ThreadRun();
-  if (!ActiveHere(rs) || id < 0) return;
-  size_t idx = static_cast<size_t>(id);
-  if (idx >= rs.run.transfers.size() || rs.run.transfers[idx].id != id) {
-    return;
-  }
-  rs.run.transfers[idx].failed = true;
-}
-
 void Federation::RecordEstimate(EstimateActual record) {
   record.q_error = QError(record.est_rows, record.act_rows);
   if (metrics_ != nullptr) {
@@ -305,8 +405,6 @@ void Federation::RecordEstimate(EstimateActual record) {
 void Federation::RecordControlMessage(const std::string& a,
                                       const std::string& b, double bytes) {
   network_.RecordTransfer(a, b, bytes, 1);
-  RunState& rs = ThreadRun();
-  if (ActiveHere(rs)) ++rs.control_messages;
 }
 
 void Federation::SetMetricsRegistry(MetricsRegistry* registry) {
@@ -376,6 +474,14 @@ void Federation::SetHealthTracker(HealthTracker* tracker) {
 void Federation::RecordHealthOutcome(const std::string& server, int attempts,
                                      const Status& final_status) {
   if (health_ == nullptr) return;
+  // A failure on another server's fetch path was charged to that server by
+  // the fetch loop that named it; blaming `server` too — the DDL, root
+  // query or outer fetch it surfaced through — would trip every healthy
+  // breaker on the path of one sick server.
+  const FailureSite* site = final_status.site();
+  if (site != nullptr && site->on_fetch_path() && site->server != server) {
+    return;
+  }
   // Every intermediate attempt failed retryably by construction of the
   // retry loop; the final attempt counts only when its verdict speaks to
   // server health.
@@ -418,11 +524,6 @@ void Federation::ChargeBudget(double seconds) {
   BudgetState& b = ThreadBudget();
   if (b.owner != this || !b.deadline_armed || seconds <= 0) return;
   b.remaining -= seconds;
-}
-
-bool Federation::PartialAllowed() const {
-  const BudgetState& b = ThreadBudget();
-  return b.owner == this && b.allow_partial;
 }
 
 void Federation::RecordLostFragment(FragmentLoss loss) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,6 +36,14 @@ enum class WireFormat : uint8_t {
 
 /// \brief The federation: the set of autonomous DBMS servers plus the
 /// simulated network between them.
+///
+/// The federation owns every inter-DBMS fetch (Fetch): the fault gates, the
+/// request, the producer's evaluation, the wire charge, retries under the
+/// deadline budget, breaker blame and partial-result substitution. It is the
+/// one retry gate (RunWithRetry) for fetches and the delegation engine's
+/// DDL alike, and the one blame rule (RecordHealthOutcome) for every
+/// outcome the health tracker sees. Servers only serve their side
+/// (DatabaseServer::ServeRemote) and forward each foreign scan here.
 ///
 /// The federation is also the run recorder: while a top-level query executes
 /// it maintains a stack of compute-trace frames so that each inter-DBMS fetch
@@ -79,6 +88,33 @@ class Federation {
   /// byte count bit-identical to the pre-columnar accounting.
   void set_wire_format(WireFormat format) { wire_format_ = format; }
   WireFormat wire_format() const { return wire_format_; }
+
+  /// What shipping one table costs on the wire.
+  struct WireCharge {
+    double raw = 0;        // row-format bytes x protocol inflation
+    double bytes = 0;      // bytes charged on the wire
+    bool encoded = false;  // shipped as compressed column chunks
+  };
+
+  /// The wire charge of `table` between engines whose protocols inflate row
+  /// text by `inflation`: the raw row bytes, or on the columnar wire
+  /// min(raw, encoded size) — a sender whose encoding does not pay falls
+  /// back to the row protocol.
+  WireCharge ChargeWire(const Table& table, double inflation = 1.0) const;
+
+  /// Fetches `SELECT * FROM relation` from `producer` for `consumer` (one
+  /// foreign scan): reachability, then per attempt the kFetch fault gate,
+  /// the request message, the producer's evaluation (in a producer frame
+  /// nested under the current one), the wire charge and the kTransfer gate
+  /// (a link drop wastes half the payload), retried through RunWithRetry.
+  /// An undeliverable fragment becomes an empty relation when the query
+  /// allows partial results; otherwise the error carries a FailureSite.
+  /// `est_rows`/`est_bytes` are the planner's stamped estimates (-1 when
+  /// unstamped); `materialized` marks the consumer's CTAS input.
+  Result<TablePtr> Fetch(const DatabaseServer& consumer,
+                         const std::string& producer,
+                         const std::string& relation, double est_rows,
+                         double est_bytes, bool materialized);
 
   // --- observability (no-ops unless a recorder/registry is attached) ---
 
@@ -142,19 +178,19 @@ class Federation {
   Status InjectFault(const std::string& server, FaultOp op,
                      const std::string& peer = std::string());
 
-  /// Federation-wide retry policy used by the delegation engine's DDL path
-  /// and the servers' foreign-fetch path.
+  /// Federation-wide retry policy of RunWithRetry.
   void set_retry_policy(RetryPolicy policy) { retry_policy_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
 
-  /// Appends a retry event to the active run (dropped when none).
-  void RecordRetry(RetryEvent event);
+  /// The retry gate for an `op` (kDdl or kFetch) against `server`: runs
+  /// `attempt` under the retry policy and the calling thread's remaining
+  /// budget, records a RetryEvent when it retried or failed retryably, and
+  /// feeds the outcome to RecordHealthOutcome.
+  RetryOutcome RunWithRetry(const std::string& server, FaultOp op,
+                            const std::function<Status()>& attempt);
 
   /// Raises the active run's recovery action if `action` outranks it.
   void NoteRecovery(RecoveryAction action);
-
-  /// Marks a closed transfer record as failed (link dropped mid-transfer).
-  void MarkTransferFailed(int id);
 
   // --- per-server health & circuit breakers ---
 
@@ -168,7 +204,9 @@ class Federation {
   /// Feeds one retried operation's outcome into the attached tracker:
   /// `attempts - 1` retryable failures plus the final outcome. The final
   /// status counts as a failure only when itself retryable — a catalog or
-  /// parse error says nothing about the server's health. No-op when no
+  /// parse error says nothing about the server's health. A failure whose
+  /// site is on the fetch path of another server is skipped entirely: the
+  /// fetch loop that named that server already charged it. No-op when no
   /// tracker is attached.
   void RecordHealthOutcome(const std::string& server, int attempts,
                            const Status& final_status);
@@ -189,17 +227,9 @@ class Federation {
 
   /// Deducts modelled seconds from the armed budget (no-op when none).
   /// Retry backoff and injected fault delay charge automatically through
-  /// RecordRetry/InjectFault; the query systems charge planning phases and
+  /// RunWithRetry/InjectFault; the query systems charge planning phases and
   /// failed failover rounds explicitly.
   void ChargeBudget(double seconds);
-
-  /// Whether the calling thread's query opted into partial results.
-  bool PartialAllowed() const;
-
-  /// Records a fragment abandoned under the partial-results policy on the
-  /// active run: notes the "degraded" recovery action and bumps
-  /// xdb_partial_results_total{reason=...}.
-  void RecordLostFragment(FragmentLoss loss);
 
   // --- run recording (thread-local: one active run per serving thread) ---
 
@@ -213,37 +243,16 @@ class Federation {
   /// The compute-trace frame rows should currently be attributed to.
   ComputeTrace* CurrentTrace();
 
-  /// Opens a transfer record for a fetch of `relation` from `src` by `dst`
-  /// and pushes a fresh producer-compute frame. Returns the record id.
-  /// `est_rows`/`est_bytes` are the planner's stamped estimates for the
-  /// transfer (wire-inflation basis for bytes); -1 means unstamped, and the
-  /// transfer then never contributes to the estimate ledger.
-  int PushFetch(const std::string& src, const std::string& dst,
-                const std::string& relation, double est_rows = -1,
-                double est_bytes = -1);
-
-  /// Closes the transfer record: fills in observed volume and pops the
-  /// producer frame (attributing it to `src` in per-server totals).
-  /// `raw_bytes` is the uncompressed row-format byte count when the
-  /// transfer shipped encoded (columnar wire); pass a negative value (the
-  /// default) for raw-row transfers, where it equals `bytes`.
-  void PopFetch(int id, double rows, double bytes, uint64_t messages,
-                bool materialized, double raw_bytes = -1);
-
   /// Appends one estimate-vs-actual record to the active run's ledger
   /// (dropped when none) and observes its cardinality q-error — computed
   /// here from est/act rows — on `xdb_qerror{op=,server=}`. Called by the
   /// servers after a profiled statement; the fetch path feeds the ledger
-  /// through PushFetch estimates instead.
+  /// through the estimates its transfer records carry instead.
   void RecordEstimate(EstimateActual record);
 
   /// Accounts a small control-plane round trip (metadata, DDL, EXPLAIN).
   void RecordControlMessage(const std::string& a, const std::string& b,
                             double bytes = 256);
-
-  /// Count of control messages in the calling thread's active run
-  /// (prep/delegation costing).
-  int control_messages() const;
 
  private:
   struct Frame {
@@ -260,12 +269,11 @@ class Federation {
     bool active = false;
     RunTrace run;
     // Deque, not vector: CurrentTrace() hands out pointers to the top frame
-    // that must survive nested PushFetch growth (vector reallocation would
+    // that must survive nested OpenTransfer growth (vector reallocation would
     // dangle them).
     std::deque<Frame> stack;
     ComputeTrace scratch;  // sink when no run is active
     int next_record_id = 0;
-    int control_messages = 0;
   };
   static RunState& ThreadRun();
   bool ActiveHere(const RunState& rs) const {
@@ -282,6 +290,26 @@ class Federation {
     bool allow_partial = false;
   };
   static BudgetState& ThreadBudget();
+
+  /// Pushes a producer-compute frame for a fetch of `relation` from `src`
+  /// by `dst`; inside an active run also opens its transfer record (with
+  /// the planner's estimates, -1 when unstamped), fetch span and metrics.
+  void OpenTransfer(const std::string& src, const std::string& dst,
+                    const std::string& relation, double est_rows,
+                    double est_bytes);
+
+  /// Pops the innermost frame, filling its transfer record with what went
+  /// on the wire and attributing the producer's compute to `src`.
+  void CloseTransfer(double rows, const WireCharge& wire, uint64_t messages,
+                     bool materialized, bool failed);
+
+  /// Appends a retry event to the active run (dropped when none).
+  void RecordRetry(RetryEvent event);
+
+  /// Records a fragment abandoned under the partial-results policy on the
+  /// active run: notes the "degraded" recovery action and bumps
+  /// xdb_partial_results_total{reason=...}.
+  void RecordLostFragment(FragmentLoss loss);
 
   /// Unlabeled metric handles, registered eagerly at SetMetricsRegistry so
   /// every family shows in the exposition even before its first event.

@@ -76,7 +76,7 @@ struct TransferRecord {
 /// or failed are recorded — a clean run has an empty retry log.
 struct RetryEvent {
   std::string server;  // DBMS the operation targeted
-  std::string op;      // "ddl" | "fetch"
+  FaultOp op = FaultOp::kDdl;  // kDdl or kFetch
   int attempts = 1;
   double backoff_seconds = 0;  // modelled wait across all retries
   bool succeeded = true;

@@ -1,37 +1,12 @@
 #include "src/dbms/server.h"
 
-#include <algorithm>
 #include <cmath>
 
-#include "src/common/retry.h"
 #include "src/common/str_util.h"
 #include "src/common/thread_pool.h"
 #include "src/sql/parser.h"
 
 namespace xdb {
-
-namespace {
-// Rows per wire batch (FDW cursor fetch size at the scale we model).
-constexpr double kRowsPerMessage = 10000.0;
-
-// When an injected link drop aborts a transfer, this fraction of the
-// payload is modelled as already on the wire (wasted bytes that still
-// count toward transfer accounting and modelled time).
-constexpr double kLinkDropFraction = 0.5;
-
-uint64_t MessagesFor(double rows) {
-  return static_cast<uint64_t>(std::ceil(rows / kRowsPerMessage)) + 1;
-}
-
-// The server whose CREATE TABLE AS the calling thread is currently
-// materializing (nullptr otherwise). Thread-local so concurrent sessions on
-// one server don't mislabel each other's fetches as explicit movement.
-thread_local const DatabaseServer* t_materializing = nullptr;
-}  // namespace
-
-bool DatabaseServer::MaterializingHere() const {
-  return t_materializing == this;
-}
 
 DatabaseServer::CatalogEntry* DatabaseServer::FindEntry(
     const std::string& key) {
@@ -132,119 +107,8 @@ Result<TablePtr> DatabaseServer::Context::GetLocalTable(
 Result<TablePtr> DatabaseServer::Context::ForeignFetch(
     const std::string& server, const std::string& relation, double est_rows,
     double est_bytes) {
-  Federation* fed = server_->fed_;
-  DatabaseServer* remote = fed->GetServer(server);
-  if (remote == nullptr) {
-    return Status::NetworkError("unknown foreign server: " + server);
-  }
-  if (!fed->network().IsReachable(server_->name_, server)) {
-    return Status::NetworkError("no connectivity between " +
-                                server_->name_ + " and " + server);
-  }
-  double inflation = std::max(server_->profile_.wire_inflation,
-                              remote->profile().wire_inflation);
-  // The planner's byte estimate is in serialized row-format bytes; put it
-  // on the same wire-inflation basis as the observed charge so the byte
-  // q-error reflects cardinality/width error, not protocol constants.
-  double est_wire_bytes = est_bytes < 0 ? -1 : est_bytes * inflation;
-
-  // One fetch attempt end to end: fault gate, request message, remote
-  // evaluation, wire transfer (which an injected link drop can abort
-  // mid-flight, wasting the bytes already sent).
-  TablePtr table;
-  auto attempt_fetch = [&]() -> Status {
-    XDB_RETURN_NOT_OK(
-        fed->InjectFault(server, FaultOp::kFetch, server_->name_));
-    // Request message (the `SELECT * FROM relation` text).
-    fed->network().RecordTransfer(server_->name_, server, 128.0, 1);
-    int id = fed->PushFetch(server, server_->name_, relation, est_rows,
-                            est_wire_bytes);
-    Result<TablePtr> result = remote->ServeRemote(relation);
-    if (!result.ok()) {
-      fed->PopFetch(id, 0, 0, 0, false);
-      return result.status();
-    }
-    TablePtr t = std::move(result).value();
-    double raw_bytes = static_cast<double>(t->SerializedSize()) * inflation;
-    // Columnar wire: ship the compressed chunk encoding instead of inflated
-    // row text. min() guards the (rare) payload whose encoded form is not
-    // smaller — the sender would just fall back to the row protocol.
-    const bool encoded = fed->wire_format() == WireFormat::kColumnar;
-    double bytes =
-        encoded ? std::min(raw_bytes,
-                           static_cast<double>(t->EncodedSerializedSize()))
-                : raw_bytes;
-    double rows = static_cast<double>(t->num_rows());
-    uint64_t messages = MessagesFor(rows);
-    Status drop = fed->InjectFault(server, FaultOp::kTransfer,
-                                   server_->name_);
-    if (!drop.ok()) {
-      // Link dropped mid-transfer: the producer's compute and part of the
-      // payload are wasted but still accounted (they really happened).
-      double wasted = bytes * kLinkDropFraction;
-      uint64_t partial =
-          std::max<uint64_t>(1, static_cast<uint64_t>(
-                                    static_cast<double>(messages) *
-                                    kLinkDropFraction));
-      fed->network().RecordTransfer(server, server_->name_, wasted, partial,
-                                    encoded);
-      fed->PopFetch(id, 0, wasted, partial, false,
-                    encoded ? raw_bytes * kLinkDropFraction : -1);
-      fed->MarkTransferFailed(id);
-      return drop;
-    }
-    fed->network().RecordTransfer(server, server_->name_, bytes, messages,
-                                  encoded);
-    fed->PopFetch(id, rows, bytes, messages, server_->MaterializingHere(),
-                  encoded ? raw_bytes : -1);
-    table = std::move(t);
-    return Status::OK();
-  };
-
-  // The retry loop stops early when the remaining deadline budget cannot
-  // cover the next backoff; only the backoff actually waited is charged.
-  RetryOutcome out = RetryWithBackoffBudget(fed->retry_policy(),
-                                            attempt_fetch,
-                                            fed->RemainingBudget());
-  const Status& st = out.status;
-  if (out.attempts > 1 || st.IsRetryable()) {
-    fed->RecordRetry({server, "fetch", out.attempts, out.backoff_seconds,
-                      st.ok(), st.ok() ? std::string() : st.message()});
-  }
-  fed->RecordHealthOutcome(server, out.attempts, st);
-  if (!st.ok()) {
-    // Graceful degradation: when the query opted into partial results, an
-    // undeliverable non-root fragment becomes an empty relation with the
-    // declared schema (available locally through the foreign-table
-    // mapping, like an FDW's) so joins and aggregates above it still run
-    // over the surviving fragments. The root query itself never passes
-    // through ForeignFetch, so the top of the plan cannot be substituted.
-    if (st.IsRetryable() && fed->PartialAllowed()) {
-      Result<Schema> schema = remote->DescribeRelation(relation);
-      if (schema.ok()) {
-        FragmentLoss loss;
-        loss.relation = relation;
-        loss.server = server;
-        loss.consumer = server_->name_;
-        loss.reason = out.budget_exhausted ? "deadline"
-                      : st.code() == StatusCode::kTimeout ? "link-drop"
-                                                          : "node-down";
-        if (Result<double> est = remote->EstimateRelationRows(relation);
-            est.ok()) {
-          loss.est_rows = *est;
-        }
-        fed->RecordLostFragment(std::move(loss));
-        return std::make_shared<Table>(*schema);
-      }
-    }
-    // The producer's health was charged above; the fetch site tells the
-    // callers up the stack not to blame themselves as well.
-    Status failed = st.WithContext("foreign fetch of " + server + "." +
-                                   relation + " by " + server_->name_);
-    if (st.site() != nullptr) return failed;
-    return failed.WithSite({server, server_->name_, FaultOp::kFetch, false});
-  }
-  return table;
+  return server_->fed_->Fetch(*server_, server, relation, est_rows, est_bytes,
+                              materialized_);
 }
 
 ComputeTrace* DatabaseServer::Context::trace() {
@@ -378,8 +242,9 @@ const char* OperatorName(const OperatorStats& s) {
 }
 }  // namespace
 
-Result<TablePtr> DatabaseServer::ExecutePlanHere(const PlanNode& plan) {
-  Context ctx(this);
+Result<TablePtr> DatabaseServer::ExecutePlanHere(const PlanNode& plan,
+                                                 bool materialized) {
+  Context ctx(this, materialized);
   OperatorProfiler* prof = profiler();
   if (prof == nullptr) return ExecutePlan(plan, &ctx);
   // With a profiler attached, join each newly-profiled operator's stamped
@@ -554,12 +419,8 @@ Status DatabaseServer::ExecuteParsed(const sql::Statement& stmt,
         return Status::CatalogError("relation already exists: " + key);
       }
       XDB_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(*stmt.select));
-      const DatabaseServer* saved = t_materializing;
-      t_materializing = this;
-      Result<TablePtr> result = ExecutePlanHere(*plan);
-      t_materializing = saved;
-      XDB_RETURN_NOT_OK(result.status());
-      TablePtr table = std::move(result).value();
+      XDB_ASSIGN_OR_RETURN(TablePtr table,
+                           ExecutePlanHere(*plan, /*materialized=*/true));
       fed_->CurrentTrace()->materialized_rows +=
           static_cast<double>(table->num_rows());
       CatalogEntry entry;

@@ -36,9 +36,7 @@ struct ExplainResult {
 /// namespaced relations on one server. Entry *contents* are accessed
 /// unlocked: base/materialized/view entries are immutable once created, and
 /// a foreign entry's lazily-resolved schema is only ever touched by the one
-/// query that deployed it (transient relations are per-query named). The
-/// CTAS "materializing" marker is thread-local, so one session's explicit
-/// movement never mislabels another session's concurrent fetches.
+/// query that deployed it (transient relations are per-query named).
 class DatabaseServer : public RelationResolver {
  public:
   DatabaseServer(std::string name, EngineProfile profile, Federation* fed);
@@ -107,7 +105,7 @@ class DatabaseServer : public RelationResolver {
   /// Full statistics for a base/materialised relation.
   Result<TableStats> GetRelationStats(const std::string& relation) const;
 
-  // --- server-to-server path (invoked via Federation on foreign scans) ---
+  // --- server-to-server path (invoked via Federation::Fetch) ---
 
   /// Serves `SELECT * FROM relation` to a peer. The federation has already
   /// pushed a producer trace frame; compute lands there.
@@ -138,9 +136,13 @@ class DatabaseServer : public RelationResolver {
   };
 
   /// ExecContext wired to this server + the federation's trace stack.
+  /// `materialized` is set only for a CTAS: its foreign scans are the
+  /// explicit movement the CTAS performs (fetches made while serving them
+  /// run in the producers' own contexts).
   class Context : public ExecContext {
    public:
-    explicit Context(DatabaseServer* server) : server_(server) {}
+    Context(DatabaseServer* server, bool materialized)
+        : server_(server), materialized_(materialized) {}
     Result<TablePtr> GetLocalTable(const std::string& table) override;
     Result<TablePtr> ForeignFetch(const std::string& server,
                                   const std::string& relation,
@@ -152,9 +154,11 @@ class DatabaseServer : public RelationResolver {
 
    private:
     DatabaseServer* server_;
+    bool materialized_;
   };
 
-  Result<TablePtr> ExecutePlanHere(const PlanNode& plan);
+  Result<TablePtr> ExecutePlanHere(const PlanNode& plan,
+                                   bool materialized = false);
   Status ExecuteParsed(const sql::Statement& stmt, TablePtr* out);
 
   /// Node-stable pointer to the entry for `key` (already lowercased), or
@@ -162,10 +166,6 @@ class DatabaseServer : public RelationResolver {
   /// class comment for why entry contents are safe to use unlocked.
   CatalogEntry* FindEntry(const std::string& key);
   const CatalogEntry* FindEntry(const std::string& key) const;
-
-  /// True while the *calling thread* materializes a CTAS on this server
-  /// (marks its foreign fetches as explicit-movement transfers).
-  bool MaterializingHere() const;
 
   std::string name_;
   EngineProfile profile_;

@@ -147,38 +147,44 @@ std::string Expr::OutputName() const {
 }
 
 std::string Expr::ToSql() const {
+  return ToSql([](const Expr& c) {
+    return c.qualifier.empty() ? c.column : c.qualifier + "." + c.column;
+  });
+}
+
+std::string Expr::ToSql(
+    const std::function<std::string(const Expr&)>& column) const {
+  auto sql = [&](const ExprPtr& child) { return child->ToSql(column); };
   switch (kind) {
     case ExprKind::kColumnRef:
-      if (!qualifier.empty()) return qualifier + "." + column;
-      return column;
+      return column(*this);
     case ExprKind::kLiteral:
       return literal.ToSqlLiteral();
     case ExprKind::kBinary:
-      return "(" + children[0]->ToSql() + " " + BinaryOpToSql(binary_op) +
-             " " + children[1]->ToSql() + ")";
+      return "(" + sql(children[0]) + " " + BinaryOpToSql(binary_op) + " " +
+             sql(children[1]) + ")";
     case ExprKind::kUnary:
       switch (unary_op) {
         case UnaryOp::kNot:
-          return "(NOT " + children[0]->ToSql() + ")";
+          return "(NOT " + sql(children[0]) + ")";
         case UnaryOp::kNeg:
-          return "(-" + children[0]->ToSql() + ")";
+          return "(-" + sql(children[0]) + ")";
         case UnaryOp::kIsNull:
-          return "(" + children[0]->ToSql() + " IS NULL)";
+          return "(" + sql(children[0]) + " IS NULL)";
         case UnaryOp::kIsNotNull:
-          return "(" + children[0]->ToSql() + " IS NOT NULL)";
+          return "(" + sql(children[0]) + " IS NOT NULL)";
       }
       return "?";
     case ExprKind::kBetween:
-      return "(" + children[0]->ToSql() + " BETWEEN " + children[1]->ToSql() +
-             " AND " + children[2]->ToSql() + ")";
+      return "(" + sql(children[0]) + " BETWEEN " + sql(children[1]) +
+             " AND " + sql(children[2]) + ")";
     case ExprKind::kLike:
-      return "(" + children[0]->ToSql() + " LIKE " + children[1]->ToSql() +
-             ")";
+      return "(" + sql(children[0]) + " LIKE " + sql(children[1]) + ")";
     case ExprKind::kInList: {
-      std::string out = "(" + children[0]->ToSql() + " IN (";
+      std::string out = "(" + sql(children[0]) + " IN (";
       for (size_t i = 1; i < children.size(); ++i) {
         if (i > 1) out += ", ";
-        out += children[i]->ToSql();
+        out += sql(children[i]);
       }
       return out + "))";
     }
@@ -186,27 +192,27 @@ std::string Expr::ToSql() const {
       std::string out = "CASE";
       size_t pairs = (children.size() - (case_has_else ? 1 : 0)) / 2;
       for (size_t i = 0; i < pairs; ++i) {
-        out += " WHEN " + children[2 * i]->ToSql() + " THEN " +
-               children[2 * i + 1]->ToSql();
+        out += " WHEN " + sql(children[2 * i]) + " THEN " +
+               sql(children[2 * i + 1]);
       }
-      if (case_has_else) out += " ELSE " + children.back()->ToSql();
+      if (case_has_else) out += " ELSE " + sql(children.back());
       return out + " END";
     }
     case ExprKind::kFunction: {
       if (function_name == "extract_year") {
-        return "EXTRACT(YEAR FROM " + children[0]->ToSql() + ")";
+        return "EXTRACT(YEAR FROM " + sql(children[0]) + ")";
       }
       std::string out = ToUpper(function_name) + "(";
       for (size_t i = 0; i < children.size(); ++i) {
         if (i > 0) out += ", ";
-        out += children[i]->ToSql();
+        out += sql(children[i]);
       }
       return out + ")";
     }
     case ExprKind::kAggregate:
       if (agg_kind == AggKind::kCountStar) return "COUNT(*)";
-      return std::string(AggKindToSql(agg_kind)) + "(" +
-             children[0]->ToSql() + ")";
+      return std::string(AggKindToSql(agg_kind)) + "(" + sql(children[0]) +
+             ")";
   }
   return "?";
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,6 +104,10 @@ class Expr {
 
   /// Renders as (dialect-neutral) SQL text.
   std::string ToSql() const;
+
+  /// Renders as SQL text with `column` rendering each column reference.
+  std::string ToSql(
+      const std::function<std::string(const Expr&)>& column) const;
 
   /// Structural equality (ignores alias).
   bool Equals(const Expr& other) const;

@@ -1,6 +1,7 @@
 #include "src/net/network.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/obs/metrics.h"
 #include "src/testing/fault_injector.h"
@@ -43,6 +44,14 @@ LinkProps Network::GetLink(const std::string& a,
   LinkProps props = it != links_.end() ? it->second : default_link_;
   if (injector_ != nullptr) injector_->DegradeLink(a, b, &props);
   return props;
+}
+
+double Network::Batches(double rows) { return std::ceil(rows / 10000.0) + 1.0; }
+
+double Network::TransferSeconds(const std::string& a, const std::string& b,
+                                double bytes, double rows) const {
+  LinkProps link = GetLink(a, b);
+  return bytes / link.bandwidth + link.latency * Batches(rows);
 }
 
 void Network::BlockLink(const std::string& a, const std::string& b) {

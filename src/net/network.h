@@ -59,6 +59,15 @@ class Network {
   /// silently run on default link props and skew transfer accounting.
   LinkProps GetLink(const std::string& a, const std::string& b) const;
 
+  /// Wire batches a transfer of `rows` rows takes: one per 10,000 rows (an
+  /// FDW cursor's fetch size at the modelled scale) plus one.
+  static double Batches(double rows);
+
+  /// Modelled seconds to ship `bytes` in `rows` rows between `a` and `b`:
+  /// the volume over the link's bandwidth plus one latency per batch.
+  double TransferSeconds(const std::string& a, const std::string& b,
+                         double bytes, double rows) const;
+
   /// Marks a pair as unreachable (no direct connectivity — e.g. firewalled
   /// departments). XDB's annotator restricts placement candidates to
   /// reachable DBMSes (the paper's "constraining the possible values of

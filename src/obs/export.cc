@@ -94,7 +94,7 @@ void WriteRunTrace(JsonWriter* w, const RunTrace& trace) {
   for (const auto& r : trace.retries) {
     w->BeginObject();
     w->Field("server", r.server);
-    w->Field("op", r.op);
+    w->Field("op", FaultOpToString(r.op));
     w->Field("attempts", r.attempts);
     w->Field("backoff_seconds", r.backoff_seconds);
     w->Field("succeeded", r.succeeded);

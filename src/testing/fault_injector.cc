@@ -18,20 +18,6 @@ bool LinkMatches(const FaultSpec& spec, const std::string& a,
 
 }  // namespace
 
-const char* FaultOpToString(FaultOp op) {
-  switch (op) {
-    case FaultOp::kDdl:
-      return "ddl";
-    case FaultOp::kQuery:
-      return "query";
-    case FaultOp::kFetch:
-      return "fetch";
-    case FaultOp::kTransfer:
-      return "transfer";
-  }
-  return "unknown";
-}
-
 int FaultInjector::AddFault(FaultSpec spec) {
   std::lock_guard<std::mutex> lock(mu_);
   int id = next_id_++;

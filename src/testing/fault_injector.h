@@ -20,8 +20,6 @@ enum class FaultKind {
   kSlowLink,        // no error; link bandwidth/latency degrade by a factor
 };
 
-const char* FaultOpToString(FaultOp op);
-
 /// \brief One programmable fault: *where* it applies (server, or a link
 /// endpoint pair for link kinds; empty strings are wildcards), *what* it
 /// does (kind), and *when* it fires (a deterministic trigger over the

@@ -1,15 +1,10 @@
 #include "src/timing/timing_model.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/dbms/server.h"
 
 namespace xdb {
-
-namespace {
-constexpr double kRowsPerMessage = 10000.0;
-}
 
 double TimingModel::ComputeSeconds(const ComputeTrace& t,
                                    const EngineProfile& p,
@@ -42,10 +37,9 @@ double TimingModel::ComputeSeconds(const ComputeTrace& t,
 }
 
 double TimingModel::TransferSeconds(const TransferRecord& rec) const {
-  LinkProps link = fed_->network().GetLink(rec.src, rec.dst);
-  double s = options_.scale_up;
-  double messages = std::ceil(rec.rows * s / kRowsPerMessage) + 1.0;
-  return rec.bytes * s / link.bandwidth + link.latency * messages;
+  const double s = options_.scale_up;
+  return fed_->network().TransferSeconds(rec.src, rec.dst, rec.bytes * s,
+                                         rec.rows * s);
 }
 
 namespace {

@@ -1,12 +1,6 @@
 #include "src/xdb/annotator.h"
 
-#include <cmath>
-
 namespace xdb {
-
-namespace {
-constexpr double kRowsPerMessage = 10000.0;
-}
 
 Status Annotator::Annotate(PlanNode* plan) {
   return AnnotateNode(plan);
@@ -16,9 +10,7 @@ double Annotator::MoveCost(const PlanEstimate& producer,
                            const std::string& src,
                            const std::string& dst) const {
   if (src == dst) return 0.0;
-  LinkProps link = network_->GetLink(src, dst);
-  double messages = std::ceil(producer.rows / kRowsPerMessage) + 1.0;
-  return producer.bytes() / link.bandwidth + link.latency * messages;
+  return network_->TransferSeconds(src, dst, producer.bytes(), producer.rows);
 }
 
 Status Annotator::AnnotateNode(PlanNode* node) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/retry.h"
 #include "src/connect/deparser.h"
 
 namespace xdb {
@@ -36,27 +35,9 @@ void RewirePlaceholders(PlanNode* node, const std::string& producer_view,
 Status DelegationEngine::IssueWithRetry(DbmsConnector* dc,
                                         const std::string& server,
                                         const std::string& ddl) {
-  const RetryPolicy policy =
-      fed_ != nullptr ? fed_->retry_policy() : RetryPolicy::NoRetry();
-  const double budget = fed_ != nullptr ? fed_->RemainingBudget() : -1.0;
-  RetryOutcome out = RetryWithBackoffBudget(
-      policy, [&] { return dc->Deploy(ddl); }, budget);
-  if (fed_ != nullptr) {
-    if (out.attempts > 1 || out.status.IsRetryable()) {
-      fed_->RecordRetry({server, "ddl", out.attempts, out.backoff_seconds,
-                         out.status.ok(),
-                         out.status.ok() ? std::string()
-                                         : out.status.message()});
-    }
-    // A DDL that failed because a foreign fetch inside it failed (e.g. a
-    // CTAS ingesting a remote stream) was already charged to the remote the
-    // fetch named; don't also blame the server running the DDL.
-    const FailureSite* site = out.status.site();
-    if (site == nullptr || !site->on_fetch_path()) {
-      fed_->RecordHealthOutcome(server, out.attempts, out.status);
-    }
-  }
-  return out.status;
+  return fed_
+      ->RunWithRetry(server, FaultOp::kDdl, [&] { return dc->Deploy(ddl); })
+      .status;
 }
 
 Status DelegationEngine::Issue(const std::string& server,
@@ -69,7 +50,7 @@ Status DelegationEngine::Issue(const std::string& server,
       IssueWithRetry(it->second, server, ddl).WithContext("on " + server));
   ddl_log_.emplace_back(server, ddl);
   ++ddl_count_;
-  if (fed_ != nullptr) fed_->CountDdl(server);
+  fed_->CountDdl(server);
   return Status::OK();
 }
 
@@ -86,7 +67,7 @@ Result<XdbQuery> DelegationEngine::Deploy(DelegationPlan* plan) {
     failure_ = FailureInfo{server, ddl, st};
     size_t n = created_.size();
     Status rollback = Cleanup();
-    if (fed_ != nullptr) fed_->NoteRecovery(RecoveryAction::kRolledBack);
+    fed_->NoteRecovery(RecoveryAction::kRolledBack);
     if (n > 0) {
       std::string note = "rolled back " + std::to_string(n) + " relation(s)";
       if (!rollback.ok()) {
@@ -97,7 +78,7 @@ Result<XdbQuery> DelegationEngine::Deploy(DelegationPlan* plan) {
     return st;
   };
 
-  SpanRecorder* spans = fed_ != nullptr ? fed_->span_recorder() : nullptr;
+  SpanRecorder* spans = fed_->span_recorder();
 
   // Tasks are already topologically ordered (producers first).
   for (auto& task : plan->tasks) {
@@ -158,8 +139,7 @@ Result<XdbQuery> DelegationEngine::Deploy(DelegationPlan* plan) {
 }
 
 Status DelegationEngine::Cleanup() {
-  SpanGuard cleanup_span(
-      fed_ != nullptr ? fed_->span_recorder() : nullptr, "cleanup");
+  SpanGuard cleanup_span(fed_->span_recorder(), "cleanup");
   if (Span* sp = cleanup_span.span()) {
     sp->Tag("relations", static_cast<int64_t>(created_.size()));
   }

@@ -31,16 +31,14 @@ struct XdbQuery {
 ///
 /// Deployment is all-or-nothing: a failure mid-cascade automatically drops
 /// every relation already created (reverse order), so a failed query never
-/// leaves transient relations behind. DDL statements that fail with a
-/// retryable status (kUnavailable/kTimeout) are retried under the
-/// federation's RetryPolicy with modelled backoff, recorded in the active
-/// RunTrace.
+/// leaves transient relations behind. Every DDL statement goes through the
+/// federation's retry gate (Federation::RunWithRetry): retryable failures
+/// (kUnavailable/kTimeout) are retried with modelled backoff and recorded
+/// in the active RunTrace.
 class DelegationEngine {
  public:
-  /// `fed` enables retries (with its RetryPolicy) and recovery recording in
-  /// the active run; nullptr disables both (single-attempt DDL).
-  explicit DelegationEngine(std::map<std::string, DbmsConnector*> connectors,
-                            Federation* fed = nullptr)
+  DelegationEngine(std::map<std::string, DbmsConnector*> connectors,
+                   Federation* fed)
       : connectors_(std::move(connectors)), fed_(fed) {}
 
   /// What made Deploy give up, for the failover logic upstream.
@@ -93,13 +91,12 @@ class DelegationEngine {
  private:
   Status Issue(const std::string& server, const std::string& ddl);
 
-  /// One DDL statement through `dc` with the federation's retry policy;
-  /// records a RetryEvent when it retried or failed.
+  /// One DDL statement through `dc`, behind the federation's retry gate.
   Status IssueWithRetry(DbmsConnector* dc, const std::string& server,
                         const std::string& ddl);
 
   std::map<std::string, DbmsConnector*> connectors_;
-  Federation* fed_ = nullptr;
+  Federation* fed_;
   std::vector<std::pair<std::string, std::string>> ddl_log_;
   // (server, relation, kind) in creation order; dropped in reverse.
   std::vector<std::tuple<std::string, std::string, std::string>> created_;

@@ -28,19 +28,10 @@ void HashCombine(uint64_t* h, uint64_t v) {
 /// once; it exists so a cache carried across reconfigured federations (e.g.
 /// in tests) can never serve a plan annotated under different cost models.
 uint64_t HashProfiles(Federation* fed) {
-  std::hash<std::string> hs;
-  std::hash<double> hd;
   uint64_t h = 0;
   for (const auto& name : fed->ServerNames()) {
-    const EngineProfile& p = fed->GetServer(name)->profile();
-    HashCombine(&h, hs(name));
-    HashCombine(&h, hs(p.vendor));
-    for (double c : {p.scan_row_cost, p.join_row_cost, p.agg_row_cost,
-                     p.sort_row_cost, p.materialize_row_cost, p.startup_cost,
-                     p.fetch_row_cost, p.wire_inflation}) {
-      HashCombine(&h, hd(c));
-    }
-    HashCombine(&h, static_cast<uint64_t>(p.parallelism));
+    HashCombine(&h, std::hash<std::string>()(name));
+    HashCombine(&h, fed->GetServer(name)->profile().Fingerprint());
   }
   return h;
 }
@@ -528,14 +519,8 @@ Result<TablePtr> QueryPipeline::Execute(Query* q, DelegationEngine* engine,
     result.emplace(connectors_.at(xq.server)->RunQuery(xq.sql));
   }
   // Root triggering is a single attempt (retry lives in the fetch/DDL
-  // paths); its verdict still feeds the health tracker — except when the
-  // failure came from a foreign fetch, whose retry loop already charged the
-  // producer. Blaming the (healthy) root too would trip every breaker on
-  // the path of one sick server.
-  const FailureSite* site = result->status().site();
-  if (site == nullptr || !site->on_fetch_path()) {
-    fed_->RecordHealthOutcome(xq.server, 1, result->status());
-  }
+  // paths); its verdict still feeds the health tracker.
+  fed_->RecordHealthOutcome(xq.server, 1, result->status());
   if (!result->ok()) {
     // Execution failed after a successful deploy: roll the cascade back
     // (Deploy-time failures already rolled themselves back).
@@ -552,14 +537,9 @@ void QueryPipeline::Account(Query* q, int round, const RunTrace& accum,
   const XdbOptions& o = options();
   if (spec_.ship_result) {
     // The final result is the only data that leaves the federation.
-    const bool enc_wire = fed_->wire_format() == WireFormat::kColumnar;
-    const double raw = static_cast<double>(r.result->SerializedSize());
-    const double bytes =
-        enc_wire ? std::min(raw, static_cast<double>(
-                                     r.result->EncodedSerializedSize()))
-                 : raw;
+    const Federation::WireCharge wire = fed_->ChargeWire(*r.result);
     fed_->network().RecordTransfer(r.xdb_query.server, o.middleware_node,
-                                   bytes, 1, enc_wire);
+                                   wire.bytes, 1, wire.encoded);
   }
   r.trace = fed_->FinishRun();
 

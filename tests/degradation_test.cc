@@ -386,6 +386,46 @@ TEST(DegradationBreakerTest, RenderListsServersAndUnknownsAreClosed) {
   EXPECT_NE(lines[0].find("closed"), std::string::npos);
 }
 
+TEST(DegradationBreakerTest, NestedFetchFailureChargesOnlyTheProducer) {
+  // a reads b.v_b, a view over c.t. Every fetch from c fails: c's breaker
+  // trips, while b — healthy, it only relayed c's failure — stays closed.
+  Federation fed;
+  fed.SetNetwork(Network::Lan({"a", "b", "c"}));
+  DatabaseServer* a = fed.AddServer("a", EngineProfile::Postgres());
+  DatabaseServer* b = fed.AddServer("b", EngineProfile::Postgres());
+  DatabaseServer* c = fed.AddServer("c", EngineProfile::Postgres());
+  auto t = std::make_shared<Table>(Schema({{"x", TypeId::kInt64}}));
+  for (int i = 0; i < 5; ++i) t->AppendRow({Value::Int64(i)});
+  ASSERT_TRUE(c->CreateBaseTable("t", t).ok());
+  ASSERT_TRUE(b->ExecuteDdl("CREATE FOREIGN TABLE ft_c SERVER c "
+                            "OPTIONS (table 't')")
+                  .ok());
+  ASSERT_TRUE(b->ExecuteDdl("CREATE VIEW v_b AS SELECT * FROM ft_c").ok());
+  ASSERT_TRUE(a->ExecuteDdl("CREATE FOREIGN TABLE ft_b SERVER b "
+                            "OPTIONS (table 'v_b')")
+                  .ok());
+
+  HealthTracker health;
+  fed.SetHealthTracker(&health);
+  FaultInjector injector;
+  fed.SetFaultInjector(&injector);
+  FaultSpec spec;
+  spec.server = "c";
+  spec.op = FaultOp::kFetch;
+  spec.kind = FaultKind::kTransientError;
+  injector.AddFault(spec);
+
+  fed.BeginRun("a");
+  auto r = a->ExecuteQuery("SELECT * FROM ft_b");
+  fed.FinishRun();
+  ASSERT_FALSE(r.ok());
+  ASSERT_NE(r.status().site(), nullptr);
+  EXPECT_EQ(r.status().site()->server, "c");
+  EXPECT_EQ(health.state("c"), BreakerState::kOpen);
+  EXPECT_EQ(health.state("b"), BreakerState::kClosed);
+  EXPECT_EQ(health.trips("b"), 0);
+}
+
 TEST_F(DegradationFixture, TrippedBreakerRoutesPlanningAroundSickServer) {
   HealthTracker health;
   fed_.SetHealthTracker(&health);

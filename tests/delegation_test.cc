@@ -112,7 +112,7 @@ TEST_F(DelegationFixture, ConnectorCalibrationScalesProbes) {
 
 TEST_F(DelegationFixture, DeployCreatesRelationsInTopologicalOrder) {
   DelegationPlan plan = MakePlan();
-  DelegationEngine engine(dc_ptrs_);
+  DelegationEngine engine(dc_ptrs_, &fed_);
   auto query = engine.Deploy(&plan);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
 
@@ -158,7 +158,7 @@ TEST_F(DelegationFixture, DeployCreatesRelationsInTopologicalOrder) {
 
 TEST_F(DelegationFixture, DeployFillsPublishedColumnNames) {
   DelegationPlan plan = MakePlan();
-  DelegationEngine engine(dc_ptrs_);
+  DelegationEngine engine(dc_ptrs_, &fed_);
   ASSERT_TRUE(engine.Deploy(&plan).ok());
   for (const auto& t : plan.tasks) {
     EXPECT_EQ(t.column_names.size(), t.expr->output_schema.num_fields());
@@ -168,7 +168,7 @@ TEST_F(DelegationFixture, DeployFillsPublishedColumnNames) {
 
 TEST_F(DelegationFixture, CleanupIsIdempotent) {
   DelegationPlan plan = MakePlan();
-  DelegationEngine engine(dc_ptrs_);
+  DelegationEngine engine(dc_ptrs_, &fed_);
   ASSERT_TRUE(engine.Deploy(&plan).ok());
   EXPECT_TRUE(engine.Cleanup().ok());
   EXPECT_TRUE(engine.Cleanup().ok());  // nothing left; still OK
@@ -190,6 +190,41 @@ TEST_F(DelegationFixture, PlanFromXdbReportExposesDot) {
   auto r = xdb.Query("SELECT b.w FROM big b, tiny t WHERE b.k = t.k");
   ASSERT_TRUE(r.ok());
   EXPECT_NE(r->plan.ToDot().find("digraph"), std::string::npos);
+}
+
+TEST(DelegationExplicitMovement, CtasMarksOnlyItsOwnFetchMaterialized) {
+  // a materializes b.v_b; serving it, b reads a.v_a, which reads c.t. Only
+  // the CTAS's own input (b -> a) is explicit movement; the fetches made
+  // inside its chain — a's included — stay pipelined.
+  Federation fed;
+  fed.SetNetwork(Network::Lan({"a", "b", "c"}));
+  DatabaseServer* a = fed.AddServer("a", EngineProfile::Postgres());
+  DatabaseServer* b = fed.AddServer("b", EngineProfile::Postgres());
+  DatabaseServer* c = fed.AddServer("c", EngineProfile::Postgres());
+  auto t = std::make_shared<Table>(Schema({{"x", TypeId::kInt64}}));
+  for (int i = 0; i < 5; ++i) t->AppendRow({Value::Int64(i)});
+  ASSERT_TRUE(c->CreateBaseTable("t", t).ok());
+  for (const char* ddl :
+       {"CREATE FOREIGN TABLE ft_c SERVER c OPTIONS (table 't')",
+        "CREATE VIEW v_a AS SELECT * FROM ft_c",
+        "CREATE FOREIGN TABLE ft_b SERVER b OPTIONS (table 'v_b')"}) {
+    ASSERT_TRUE(a->ExecuteDdl(ddl).ok()) << ddl;
+  }
+  ASSERT_TRUE(b->ExecuteDdl("CREATE FOREIGN TABLE ft_a SERVER a "
+                            "OPTIONS (table 'v_a')")
+                  .ok());
+  ASSERT_TRUE(b->ExecuteDdl("CREATE VIEW v_b AS SELECT * FROM ft_a").ok());
+
+  fed.BeginRun("a");
+  ASSERT_TRUE(a->ExecuteDdl("CREATE TABLE m AS SELECT * FROM ft_b").ok());
+  RunTrace trace = fed.FinishRun();
+  ASSERT_EQ(trace.transfers.size(), 3u);
+  for (const auto& tr : trace.transfers) {
+    const bool ctas_input = tr.src == "b" && tr.dst == "a";
+    EXPECT_EQ(tr.materialized, ctas_input)
+        << tr.src << " -> " << tr.dst << " " << tr.relation;
+    EXPECT_EQ(tr.rows, 5.0);
+  }
 }
 
 }  // namespace

@@ -199,7 +199,7 @@ TEST_F(FailureFixture, RetriesExhaustedSurfaceUnavailableAndLeaveNoOrphans) {
   EXPECT_EQ(trace.recovery_action, RecoveryAction::kFailed);
   ASSERT_FALSE(trace.retries.empty());
   for (const auto& ev : trace.retries) {
-    EXPECT_EQ(ev.op, "ddl");
+    EXPECT_EQ(ev.op, FaultOp::kDdl);
     EXPECT_FALSE(ev.succeeded);
     EXPECT_EQ(ev.attempts, 3);  // default policy: three attempts each
   }

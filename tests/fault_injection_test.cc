@@ -310,7 +310,7 @@ TEST_F(FaultFixture, DdlTransientFaultRetriesUntilSuccess) {
 
   ASSERT_EQ(r->trace.retries.size(), 1u);
   const RetryEvent& ev = r->trace.retries[0];
-  EXPECT_EQ(ev.op, "ddl");
+  EXPECT_EQ(ev.op, FaultOp::kDdl);
   EXPECT_EQ(ev.attempts, 3);
   EXPECT_TRUE(ev.succeeded);
   EXPECT_DOUBLE_EQ(ev.backoff_seconds, 0.05 + 0.10);
@@ -360,7 +360,7 @@ TEST_F(FaultFixture, FetchLinkDropRetriesAndAccountsWastedBytes) {
   EXPECT_EQ(r->result->num_rows(), 10u);
 
   ASSERT_EQ(r->trace.retries.size(), 1u);
-  EXPECT_EQ(r->trace.retries[0].op, "fetch");
+  EXPECT_EQ(r->trace.retries[0].op, FaultOp::kFetch);
   EXPECT_EQ(r->trace.retries[0].attempts, 2);
   EXPECT_TRUE(r->trace.retries[0].succeeded);
   EXPECT_EQ(r->trace.recovery_action, RecoveryAction::kRetried);

@@ -113,6 +113,27 @@ TEST(DelegationPlanCache, ClearCountsEvictions) {
   EXPECT_EQ(cache.evictions(), 2);
 }
 
+TEST(PlanCacheFingerprint, CoversEveryProfileField) {
+  // Annotation charges filter and project rows (ModeledPlanCost) and the
+  // timing model the parallel fraction: federations differing in any of
+  // them must not share cached plans.
+  auto fingerprint = [](void (*tweak)(EngineProfile*)) {
+    Federation fed;
+    fed.SetNetwork(Network::Lan({"d1"}));
+    EngineProfile profile = EngineProfile::Postgres();
+    tweak(&profile);
+    fed.AddServer("d1", profile);
+    return XdbSystem(&fed).PlacementFingerprint();
+  };
+  const std::string base = fingerprint([](EngineProfile*) {});
+  EXPECT_NE(fingerprint([](EngineProfile* p) { p->filter_row_cost *= 2; }),
+            base);
+  EXPECT_NE(fingerprint([](EngineProfile* p) { p->project_row_cost *= 2; }),
+            base);
+  EXPECT_NE(fingerprint([](EngineProfile* p) { p->parallel_fraction = 0.5; }),
+            base);
+}
+
 // --- End-to-end on XdbSystem ---
 
 class PlanCacheE2E : public ::testing::Test {

@@ -1,7 +1,6 @@
 #include "src/exec/executor.h"
 
 #include <algorithm>
-#include <functional>
 #include <string>
 #include <unordered_map>
 
@@ -96,99 +95,100 @@ TablePtr GatherRows(const Schema& schema, const Table& in,
                      idx.size(), workers);
 }
 
-/// Serializes lane `i` of the key columns into `key` (cleared first) as flat
-/// normalized bytes; join keys and group keys both come from here. Returns
-/// false when any key column is NULL (join keys never match on NULL; group
-/// keys keep the NULL marker bytes).
-bool NormalizedKey(const std::vector<const ColumnChunk*>& keys, size_t i,
+/// Serializes lane `i` of the group-key columns into `key` (cleared first)
+/// as flat normalized bytes.
+void NormalizedKey(const std::vector<const ColumnChunk*>& keys, size_t i,
                    std::string* key) {
   key->clear();
-  bool valid = true;
-  for (const ColumnChunk* c : keys) {
-    valid = valid && !c->IsNull(i);
-    c->AppendNormalizedKey(i, key);
-  }
-  return valid;
+  for (const ColumnChunk* c : keys) c->AppendNormalizedKey(i, key);
 }
 
-std::vector<const ColumnChunk*> KeyColumns(const Table& t,
-                                           const std::vector<int>& cols) {
-  std::vector<const ColumnChunk*> out;
-  for (int c : cols) out.push_back(&t.column(static_cast<size_t>(c)));
-  return out;
-}
+/// \brief The key columns of one join side, decoded a range of rows at a
+/// time into key lanes and row hashes.
+struct JoinKeys {
+  std::vector<const ColumnChunk*> cols;
 
-/// \brief Hash-partitioned join build table.
-///
-/// Build rows are partitioned by the hash of their normalized key and each
-/// partition's map is built concurrently. The partition a key lands in is a
-/// pure function of the key (never of the worker count), each partition
-/// receives its row indices in ascending original order (morsels are drained
-/// in morsel order), and probes look a key up in exactly one partition — so
-/// match lists, first-occurrence tie order, and the emitted row order are
-/// bit-identical to a single-threaded single-map build for any
-/// `exec_threads`.
-struct PartitionedJoinTable {
-  using Partition = std::unordered_map<std::string, std::vector<size_t>>;
-
-  size_t num_partitions = 1;
-  std::vector<Partition> parts;
-
-  static size_t PartitionOf(const std::string& key, size_t num_partitions) {
-    return std::hash<std::string>{}(key) % num_partitions;
+  JoinKeys(const Table& t, const std::vector<int>& keys) {
+    for (int k : keys) cols.push_back(&t.column(static_cast<size_t>(k)));
   }
 
-  const std::vector<size_t>* Find(const std::string& key) const {
-    const Partition& p = parts[PartitionOf(key, num_partitions)];
-    auto it = p.find(key);
-    return it == p.end() ? nullptr : &it->second;
+  /// Decodes rows [begin, end): key column c's lane of row begin + r goes to
+  /// lanes[c * stride + r], the row's key hash to hashes[r], and valid[r] is
+  /// 0 when a lane is NULL (the row never matches). With no key columns
+  /// (a cross product) every row is valid and hashes to 0.
+  void Decode(size_t begin, size_t end, KeyLane* lanes, size_t stride,
+              uint64_t* hashes, uint8_t* valid) const {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      cols[c]->DecodeKeyLanes(begin, end, lanes + c * stride);
+    }
+    for (size_t r = 0; r < end - begin; ++r) {
+      uint64_t h = 0;
+      bool ok = true;
+      for (size_t c = 0; c < cols.size(); ++c) {
+        const KeyLane& lane = lanes[c * stride + r];
+        ok = ok && lane.cls != KeyClass::kNull;
+        h = h * 0x9e3779b97f4a7c15ULL ^ HashKeyLane(lane);
+      }
+      hashes[r] = h;
+      valid[r] = ok ? 1 : 0;
+    }
   }
 };
 
-PartitionedJoinTable BuildJoinTable(const Table& build,
-                                    const std::vector<int>& build_keys,
-                                    int workers) {
-  const size_t n = build.num_rows();
-  const std::vector<const ColumnChunk*> key_cols =
-      KeyColumns(build, build_keys);
-  PartitionedJoinTable ht;
-  ht.num_partitions =
-      std::min<size_t>(64, static_cast<size_t>(std::max(1, workers)));
-  ht.parts.resize(ht.num_partitions);
+/// \brief Flat hash-join build table over key lanes.
+///
+/// A row's bucket is the low bits of its key hash. Bucket b owns the slots
+/// [offsets[b], offsets[b + 1]), which hold its build rows in ascending row
+/// order (a stable counting sort), each with its hash and key lanes; rows
+/// with a NULL key lane are left out. A probe walks one bucket and keeps
+/// the slots whose hash, lanes and string bytes equal its own: exactly the
+/// build rows whose normalized key bytes equal the probe's, in ascending
+/// row order. The layout depends only on the build input, never on the
+/// worker count.
+struct JoinTable {
+  size_t width = 0;  // key columns
+  uint64_t mask = 0;  // bucket count - 1 (a power of two)
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> rows;
+  std::vector<uint64_t> hashes;
+  std::vector<KeyLane> lanes;  // `width` per slot
 
-  // Phase 1 (morsel-parallel): serialize every row's normalized key once and
-  // bucket row indices by target partition, per morsel.
-  std::vector<std::string> keys(n);
-  const auto morsel_buckets = PerMorsel<std::vector<std::vector<uint32_t>>>(
-      workers, n, kMorselRows,
-      [&](size_t begin, size_t end, std::vector<std::vector<uint32_t>>* b) {
-        b->resize(ht.num_partitions);
-        for (size_t i = begin; i < end; ++i) {
-          if (!NormalizedKey(key_cols, i, &keys[i])) continue;
-          (*b)[PartitionedJoinTable::PartitionOf(keys[i], ht.num_partitions)]
-              .push_back(static_cast<uint32_t>(i));
-        }
-      });
-
-  // Phase 2 (partition-parallel): each partition drains its buckets in
-  // morsel order, so per-key index lists stay in ascending build-row order —
-  // the serial first-occurrence semantics.
-  ParallelFor(workers, ht.num_partitions, 1,
-              [&](size_t p, size_t /*begin*/, size_t /*end*/) {
-                auto& part = ht.parts[p];
-                size_t total = 0;
-                for (const auto& buckets : morsel_buckets) {
-                  total += buckets[p].size();
-                }
-                part.reserve(total);
-                for (const auto& buckets : morsel_buckets) {
-                  for (uint32_t i : buckets[p]) {
-                    part[keys[i]].push_back(i);
-                  }
-                }
-              });
-  return ht;
-}
+  JoinTable(const JoinKeys& keys, size_t n, int workers)
+      : width(keys.cols.size()) {
+    // Decode every build row's lanes and hash once, morsel-parallel.
+    std::vector<KeyLane> row_lanes(width * n);
+    std::vector<uint64_t> row_hashes(n);
+    std::vector<uint8_t> valid(n);
+    ParallelFor(workers, n, kMorselRows,
+                [&](size_t /*m*/, size_t begin, size_t end) {
+                  keys.Decode(begin, end, row_lanes.data() + begin, n,
+                              row_hashes.data() + begin, valid.data() + begin);
+                });
+    size_t slots = 0;
+    for (uint8_t v : valid) slots += v;
+    size_t buckets = 1;
+    while (buckets < slots) buckets <<= 1;
+    mask = buckets - 1;
+    offsets.assign(buckets + 1, 0);
+    for (size_t j = 0; j < n; ++j) {
+      if (valid[j] != 0) ++offsets[(row_hashes[j] & mask) + 1];
+    }
+    for (size_t b = 0; b < buckets; ++b) offsets[b + 1] += offsets[b];
+    std::vector<uint32_t> next(offsets.begin(), offsets.end() - 1);
+    rows.resize(slots);
+    hashes.resize(slots);
+    lanes.resize(slots * width);
+    for (size_t j = 0; j < n; ++j) {
+      if (valid[j] == 0) continue;
+      const uint32_t s = next[row_hashes[j] & mask]++;
+      rows[s] = static_cast<uint32_t>(j);
+      hashes[s] = row_hashes[j];
+      for (size_t c = 0; c < width; ++c) {
+        lanes[s * width + c] = row_lanes[c * n + j];
+      }
+    }
+  }
+};
 
 /// One aggregate's running state.
 struct AggState {
@@ -298,19 +298,18 @@ Result<TablePtr> ExecJoin(const PlanNode& plan, ExecContext* ctx,
                           TablePtr left, TablePtr right) {
   ComputeTrace* trace = ctx->trace();
   const int workers = ctx->exec_threads();
-  const bool cross = plan.left_keys.empty();
 
-  // Hash join; build on the smaller input, probe with the larger. The build
-  // side keys the table on normalized key bytes — one serialization per row
-  // instead of hashing and comparing Values on every probe. A cross product
-  // (kept for completeness; the planners avoid it) probes every right row.
-  const bool build_right = cross || right->num_rows() <= left->num_rows();
+  // Hash join; build on the smaller input, probe with the larger. A cross
+  // product (kept for completeness; the planners avoid it) has no key
+  // lanes, so every probe row matches every build row in order.
+  const bool build_right =
+      plan.left_keys.empty() || right->num_rows() <= left->num_rows();
   const Table& build = build_right ? *right : *left;
   const Table& probe = build_right ? *left : *right;
-  const std::vector<int>& build_keys =
-      build_right ? plan.right_keys : plan.left_keys;
-  const std::vector<int>& probe_keys =
-      build_right ? plan.left_keys : plan.right_keys;
+  const JoinKeys build_keys(build,
+                            build_right ? plan.right_keys : plan.left_keys);
+  const JoinKeys probe_keys(probe,
+                            build_right ? plan.left_keys : plan.right_keys);
 
   trace->join_build_rows += static_cast<double>(build.num_rows());
   trace->join_probe_rows += static_cast<double>(probe.num_rows());
@@ -320,33 +319,43 @@ Result<TablePtr> ExecJoin(const PlanNode& plan, ExecContext* ctx,
     s->batches = MorselCount(probe.num_rows(), kMorselRows);
   }
 
-  PartitionedJoinTable ht;
-  if (!cross) ht = BuildJoinTable(build, build_keys, workers);
-  const std::vector<const ColumnChunk*> probe_cols =
-      KeyColumns(probe, probe_keys);
+  const JoinTable ht(build_keys, build.num_rows(), workers);
+  const size_t width = ht.width;
 
-  // Probe runs per morsel; the partitioned build table is shared read-only.
-  // Each morsel emits (left, right) index pairs in probe order, then match
-  // order, and drops the pairs the residual rejects.
+  // Probe runs per morsel; the build table is shared read-only. Each morsel
+  // decodes its key lanes into a local buffer, emits (left, right) index
+  // pairs in probe order, then match order, and drops the pairs the
+  // residual rejects.
   const auto parts = PerMorsel<JoinPairs>(
       workers, probe.num_rows(), kMorselRows,
       [&](size_t begin, size_t end, JoinPairs* out) {
-        std::string key;
-        for (size_t i = begin; i < end; ++i) {
-          const uint32_t p = static_cast<uint32_t>(i);
-          if (cross) {
-            for (uint32_t j = 0; j < build.num_rows(); ++j) {
-              out->left.push_back(p);
-              out->right.push_back(j);
+        const size_t m = end - begin;
+        std::vector<KeyLane> lanes(width * m);
+        std::vector<uint64_t> hashes(m);
+        std::vector<uint8_t> valid(m);
+        probe_keys.Decode(begin, end, lanes.data(), m, hashes.data(),
+                          valid.data());
+        auto same_key = [&](uint32_t s, size_t r) {
+          for (size_t c = 0; c < width; ++c) {
+            const KeyLane& lane = lanes[c * m + r];
+            if (!(ht.lanes[s * width + c] == lane)) return false;
+            if (lane.cls == KeyClass::kString &&
+                build_keys.cols[c]->StringAt(ht.rows[s]) !=
+                    probe_keys.cols[c]->StringAt(begin + r)) {
+              return false;
             }
-            continue;
           }
-          if (!NormalizedKey(probe_cols, i, &key)) continue;
-          const std::vector<size_t>* matches = ht.Find(key);
-          if (matches == nullptr) continue;
-          for (size_t j : *matches) {
-            out->left.push_back(build_right ? p : static_cast<uint32_t>(j));
-            out->right.push_back(build_right ? static_cast<uint32_t>(j) : p);
+          return true;
+        };
+        for (size_t r = 0; r < m; ++r) {
+          if (valid[r] == 0) continue;
+          const uint64_t h = hashes[r];
+          const uint64_t b = h & ht.mask;
+          const uint32_t p = static_cast<uint32_t>(begin + r);
+          for (uint32_t s = ht.offsets[b]; s < ht.offsets[b + 1]; ++s) {
+            if (ht.hashes[s] != h || !same_key(s, r)) continue;
+            out->left.push_back(build_right ? p : ht.rows[s]);
+            out->right.push_back(build_right ? ht.rows[s] : p);
           }
         }
         if (plan.residual) FilterPairs(*plan.residual, *left, *right, out);

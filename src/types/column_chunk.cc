@@ -455,4 +455,61 @@ void ColumnChunk::AppendNormalizedKey(size_t i, std::string* out) const {
   }
 }
 
+void ColumnChunk::DecodeKeyLanes(size_t begin, size_t end,
+                                 KeyLane* out) const {
+  switch (encoding_) {
+    case ColumnEncoding::kBoxed:
+      for (size_t i = begin; i < end; ++i) {
+        out[i - begin] = boxed_[i].ToKeyLane();
+      }
+      return;
+    case ColumnEncoding::kDictionary:
+      for (size_t i = begin; i < end; ++i) {
+        out[i - begin] =
+            IsNull(i) ? KeyLane{} : StringKeyLane((*dict_)[codes_[i]]);
+      }
+      return;
+    case ColumnEncoding::kPlain:
+      if (type_ == TypeId::kDouble) {
+        for (size_t i = begin; i < end; ++i) {
+          out[i - begin] = DoubleKeyLane(f64_[i]);
+        }
+      } else if (type_ == TypeId::kString) {
+        for (size_t i = begin; i < end; ++i) {
+          out[i - begin] = StringKeyLane(strs_[i]);
+        }
+      } else {
+        for (size_t i = begin; i < end; ++i) {
+          out[i - begin] = {KeyClass::kInt, static_cast<uint64_t>(i64_[i])};
+        }
+      }
+      break;
+    case ColumnEncoding::kRle: {
+      size_t run = RunIndexFor(run_starts_, begin);
+      for (size_t i = begin; i < end; ++i) {
+        if (run + 1 < run_starts_.size() && run_starts_[run + 1] == i) ++run;
+        out[i - begin] = {KeyClass::kInt,
+                          static_cast<uint64_t>(run_values_[run])};
+      }
+      return;  // RLE columns are null-free
+    }
+    case ColumnEncoding::kFor:
+      for (size_t i = begin; i < end; ++i) {
+        out[i - begin] = {KeyClass::kInt,
+                          static_cast<uint64_t>(for_ref_) + codes_[i]};
+      }
+      break;
+  }
+  if (nulls_.empty()) return;
+  for (size_t i = begin; i < end; ++i) {
+    if (nulls_[i] != 0) out[i - begin] = KeyLane{};
+  }
+}
+
+const std::string& ColumnChunk::StringAt(size_t i) const {
+  if (encoding_ == ColumnEncoding::kBoxed) return boxed_[i].string_value();
+  return encoding_ == ColumnEncoding::kDictionary ? (*dict_)[codes_[i]]
+                                                  : strs_[i];
+}
+
 }  // namespace xdb

@@ -84,6 +84,13 @@ class ColumnChunk {
   /// Value::AppendNormalizedKey on the decoded value (shared primitives).
   void AppendNormalizedKey(size_t i, std::string* out) const;
 
+  /// Decodes lanes [begin, end) into `out[0, end - begin)` under the class
+  /// rules of AppendNormalizedKey — the same KeyLane as Value::ToKeyLane on
+  /// the decoded value. RLE runs are walked with a cursor.
+  void DecodeKeyLanes(size_t begin, size_t end, KeyLane* out) const;
+  /// The bytes of non-NULL string lane `i`.
+  const std::string& StringAt(size_t i) const;
+
   /// What Encode() would charge on the wire for these lanes.
   size_t EncodedSize() const;
   /// Row-format width: NULL 1 B, bool 1 B, int64/double/date 8 B, string

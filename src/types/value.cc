@@ -112,20 +112,52 @@ size_t Value::SerializedSize() const {
   return 8;
 }
 
-size_t Value::Hash() const {
-  if (is_null_) return 0x9e3779b97f4a7c15ULL;
+size_t Value::Hash() const { return HashKeyLane(ToKeyLane()); }
+
+KeyLane Value::ToKeyLane() const {
+  if (is_null_) return {};
   switch (type_) {
     case TypeId::kString:
-      return std::hash<std::string>()(str_);
-    case TypeId::kDouble: {
-      double d = f64_;
-      // Normalize -0.0 so it hashes like 0.0 (they compare equal).
-      if (d == 0.0) d = 0.0;
-      return std::hash<double>()(d);
-    }
+      return StringKeyLane(str_);
+    case TypeId::kDouble:
+      return DoubleKeyLane(f64_);
     default:
-      return std::hash<int64_t>()(i64_);
+      return {KeyClass::kInt, static_cast<uint64_t>(i64_)};
   }
+}
+
+KeyLane DoubleKeyLane(double d) {
+  if (d == 0.0) d = 0.0;  // -0.0 compares equal to 0.0
+  // Integral doubles take the int class so that 1.0 == 1 (Compare widens the
+  // int side to double for mixed comparisons). The range check comes first:
+  // casting NaN, ±inf or |d| >= 2^63 to int64 is undefined.
+  if (d >= -9007199254740992.0 && d <= 9007199254740992.0) {
+    const int64_t i = static_cast<int64_t>(d);
+    if (static_cast<double>(i) == d) {
+      return {KeyClass::kInt, static_cast<uint64_t>(i)};
+    }
+  }
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  std::memcpy(&bits, &d, sizeof(bits));
+  return {KeyClass::kDouble, bits};
+}
+
+KeyLane StringKeyLane(const std::string& s) {
+  return {KeyClass::kString, std::hash<std::string>()(s)};
+}
+
+uint64_t HashKeyLane(const KeyLane& lane) {
+  // MurmurHash3's 64-bit finalizer: invertible, so the hash is a bijection
+  // of the payload within one class.
+  uint64_t k = lane.payload +
+               static_cast<uint64_t>(lane.cls) * 0x9e3779b97f4a7c15ULL;
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdULL;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ULL;
+  k ^= k >> 33;
+  return k;
 }
 
 namespace {
@@ -163,20 +195,13 @@ void AppendNormalizedInt64Key(int64_t i, std::string* out) {
 }
 
 void AppendNormalizedDoubleKey(double d, std::string* out) {
-  if (d == 0.0) d = 0.0;  // -0.0 compares equal to 0.0
-  // Integral doubles encode as int64 so that 1.0 == 1 (Compare widens the
-  // int side to double for mixed comparisons).
-  int64_t i = static_cast<int64_t>(d);
-  if (d >= -9007199254740992.0 && d <= 9007199254740992.0 &&
-      static_cast<double>(i) == d) {
-    AppendNormalizedInt64Key(i, out);
+  const KeyLane lane = DoubleKeyLane(d);
+  if (lane.cls == KeyClass::kInt) {
+    AppendNormalizedInt64Key(static_cast<int64_t>(lane.payload), out);
     return;
   }
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  std::memcpy(&bits, &d, sizeof(bits));
   out->push_back('d');
-  AppendFixed64(out, bits);
+  AppendFixed64(out, lane.payload);
 }
 
 void Value::AppendNormalizedKey(std::string* out) const {

@@ -42,6 +42,32 @@ void AppendNormalizedStringKey(const std::string& s, std::string* out);
 void AppendNormalizedInt64Key(int64_t i, std::string* out);
 void AppendNormalizedDoubleKey(double d, std::string* out);
 
+/// Class of a key lane under the normalized-key rules: bool, int64, date and
+/// integral doubles within ±2^53 share kInt; other doubles are kDouble.
+enum class KeyClass : uint8_t { kNull, kInt, kDouble, kString };
+
+/// \brief One lane of a key as a class and a 64-bit payload: the int64
+/// value (kInt), the double's bit pattern (kDouble), or a hash of the bytes
+/// (kString); 0 for kNull.
+///
+/// Two lanes have equal normalized keys exactly when their classes and
+/// payloads are equal and, for kString, their bytes are equal too. A join
+/// never matches a kNull lane.
+struct KeyLane {
+  KeyClass cls = KeyClass::kNull;
+  uint64_t payload = 0;
+
+  bool operator==(const KeyLane&) const = default;
+};
+
+/// The key lanes of a non-NULL double and string.
+KeyLane DoubleKeyLane(double d);
+KeyLane StringKeyLane(const std::string& s);
+
+/// Hash of a lane's class and payload; a bijection of the payload within
+/// one class, so distinct ints (or doubles) never collide.
+uint64_t HashKeyLane(const KeyLane& lane);
+
 /// \brief A single, nullable SQL value.
 ///
 /// Values are small (int64/double inline, string out-of-line) and carry their
@@ -110,15 +136,19 @@ class Value {
   /// Approximate serialized width in bytes, used for transfer accounting.
   size_t SerializedSize() const;
 
-  /// Hash combining type class and payload; equal values hash equally.
+  /// HashKeyLane of the value's key lane: values with equal normalized keys
+  /// (Int64(7) and Double(7.0), 0.0 and -0.0) hash equally.
   size_t Hash() const;
+
+  /// The value's key lane under the normalized-key class rules.
+  KeyLane ToKeyLane() const;
 
   /// Appends a normalized-key encoding of this value to `out`: byte strings
   /// that are equal exactly when the values are equal under Compare()
   /// (including NULL == NULL and cross-numeric equality like 1 == 1.0), and
-  /// unambiguous under concatenation, so a multi-column join/group key can be
+  /// unambiguous under concatenation, so a multi-column group key can be
   /// serialized once into a flat std::string and hashed/compared as raw
-  /// bytes instead of re-hashing a vector<Value> per probe.
+  /// bytes.
   void AppendNormalizedKey(std::string* out) const;
 
   /// SQL-literal rendering: strings quoted, dates as DATE '...', NULL as NULL.

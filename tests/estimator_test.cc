@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/plan/estimator.h"
+#include "src/plan/stats.h"
 
 namespace xdb {
 namespace {
@@ -33,6 +34,16 @@ TEST(EstimatorTest, ScanEstimateUsesStats) {
   PlanEstimate e = est.Estimate(*SyntheticScan());
   EXPECT_DOUBLE_EQ(e.rows, 1000.0);
   EXPECT_DOUBLE_EQ(e.row_width, 16.0);
+}
+
+TEST(EstimatorTest, StatsNdvCountsEqualNumericsOnce) {
+  // A boxed column whose lanes compare equal in pairs: 7 == 7.0, 0 == -0.0.
+  Table t(Schema({{"x", TypeId::kInt64}}),
+          std::vector<Row>{{Value::Int64(7)},
+                           {Value::Double(7.0)},
+                           {Value::Int64(0)},
+                           {Value::Double(-0.0)}});
+  EXPECT_DOUBLE_EQ(ComputeTableStats(t).columns[0].ndv, 2.0);
 }
 
 TEST(EstimatorTest, EqualitySelectivityIsOneOverNdv) {

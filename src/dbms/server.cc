@@ -34,8 +34,7 @@ Status DatabaseServer::CreateBaseTable(const std::string& table_name,
   entry.stats = ComputeTableStats(*table);
   // Encode the columns at load time: base tables are what scans and wire
   // transfers touch, and encoding them here keeps the first query's hot
-  // path free of encode work. Intermediates keep the plain and dictionary
-  // columns the operators gathered.
+  // path free of encode work.
   table->Encode();
   entry.table = std::move(table);
   std::lock_guard<std::mutex> lock(catalog_mu_);
@@ -421,6 +420,9 @@ Status DatabaseServer::ExecuteParsed(const sql::Statement& stmt,
       XDB_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(*stmt.select));
       XDB_ASSIGN_OR_RETURN(TablePtr table,
                            ExecutePlanHere(*plan, /*materialized=*/true));
+      // A stored relation owns its lanes: it must not keep the relations
+      // its query read alive, nor change when they are dropped.
+      table->Materialize();
       fed_->CurrentTrace()->materialized_rows +=
           static_cast<double>(table->num_rows());
       CatalogEntry entry;

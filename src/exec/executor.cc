@@ -1,6 +1,7 @@
 #include "src/exec/executor.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <unordered_map>
 
@@ -71,28 +72,34 @@ SelVector Concat(const std::vector<SelVector>& parts) {
   return out;
 }
 
-/// One gather per column: `columns[c]` at the lanes `*idx[c]`, in index
-/// order, as a table of `rows` rows.
-TablePtr GatherTable(const Schema& schema,
-                     const std::vector<const ColumnChunk*>& columns,
-                     const std::vector<const SelVector*>& idx, size_t rows,
-                     int workers) {
-  std::vector<ColumnChunk> out(columns.size());
-  ParallelFor(workers, columns.size(), 1,
-              [&](size_t c, size_t /*begin*/, size_t /*end*/) {
-                out[c] = columns[c]->Gather(*idx[c]);
-              });
-  return std::make_shared<Table>(schema, std::move(out), rows);
+using PositionsPtr = ColumnChunk::PositionsPtr;
+
+/// Appends to `out` the lanes `idx` (every lane when null) of each column of
+/// `in`, as references that share ownership of in's lanes. The columns that
+/// share a position list compose it with `idx` once.
+void AppendReferences(const TablePtr& in, const PositionsPtr& idx,
+                      std::vector<ColumnChunk>* out) {
+  ColumnChunk::Compositions composed;
+  for (const ColumnChunk& c : in->columns()) {
+    out->push_back(ColumnChunk::Reference({in, &c}, idx, &composed));
+  }
 }
 
-/// The rows `idx` of `in`, in index order.
-TablePtr GatherRows(const Schema& schema, const Table& in,
-                    const SelVector& idx, int workers) {
-  std::vector<const ColumnChunk*> columns;
-  for (const ColumnChunk& c : in.columns()) columns.push_back(&c);
-  return GatherTable(schema, columns,
-                     std::vector<const SelVector*>(columns.size(), &idx),
-                     idx.size(), workers);
+/// The rows `idx` of `in` (every row when null), in index order.
+TablePtr SelectRows(const Schema& schema, const TablePtr& in,
+                    const PositionsPtr& idx) {
+  std::vector<ColumnChunk> columns;
+  AppendReferences(in, idx, &columns);
+  return std::make_shared<Table>(schema, std::move(columns),
+                                 idx != nullptr ? idx->size()
+                                                : in->num_rows());
+}
+
+/// The ascending rows `sel` of a `rows`-row input as a position list: none
+/// when `sel` keeps every row.
+PositionsPtr Subset(SelVector sel, size_t rows) {
+  if (sel.size() == rows) return nullptr;
+  return std::make_shared<const SelVector>(std::move(sel));
 }
 
 /// Serializes lane `i` of the group-key columns into `key` (cleared first)
@@ -193,7 +200,9 @@ struct JoinTable {
 /// One aggregate's running state.
 struct AggState {
   double sum = 0;
-  int64_t isum = 0;
+  // Integer SUM is exact: 2^64 int64 lanes fit, and the final total is
+  // range-checked against int64.
+  __int128 isum = 0;
   bool int_sum = true;
   int64_t count = 0;
   Value min = Value::Null(TypeId::kInt64);
@@ -366,20 +375,16 @@ Result<TablePtr> ExecJoin(const PlanNode& plan, ExecContext* ctx,
     all.left.insert(all.left.end(), p.left.begin(), p.left.end());
     all.right.insert(all.right.end(), p.right.begin(), p.right.end());
   }
-  std::vector<const ColumnChunk*> columns;
-  std::vector<const SelVector*> idx;
-  for (const ColumnChunk& c : left->columns()) {
-    columns.push_back(&c);
-    idx.push_back(&all.left);
-  }
-  for (const ColumnChunk& c : right->columns()) {
-    columns.push_back(&c);
-    idx.push_back(&all.right);
-  }
-  TablePtr out = GatherTable(plan.output_schema, columns, idx,
-                             all.left.size(), workers);
-  trace->join_output_rows += static_cast<double>(out->num_rows());
-  return out;
+  const size_t rows = all.left.size();
+  std::vector<ColumnChunk> columns;
+  AppendReferences(left, std::make_shared<const SelVector>(std::move(all.left)),
+                   &columns);
+  AppendReferences(right,
+                   std::make_shared<const SelVector>(std::move(all.right)),
+                   &columns);
+  trace->join_output_rows += static_cast<double>(rows);
+  return std::make_shared<Table>(plan.output_schema, std::move(columns),
+                                 rows);
 }
 
 Result<TablePtr> ExecAggregate(const PlanNode& plan, ExecContext* ctx,
@@ -483,7 +488,12 @@ Result<TablePtr> ExecAggregate(const PlanNode& plan, ExecContext* ctx,
           if (st.count == 0) {
             row.push_back(Value::Null(InferType(plan.aggregates[a])));
           } else if (st.int_sum) {
-            row.push_back(Value::Int64(st.isum));
+            if (st.isum > std::numeric_limits<int64_t>::max() ||
+                st.isum < std::numeric_limits<int64_t>::min()) {
+              return Status::ExecutionError("int64 out of range in " +
+                                            agg.ToSql());
+            }
+            row.push_back(Value::Int64(static_cast<int64_t>(st.isum)));
           } else {
             row.push_back(Value::Double(st.sum));
           }
@@ -588,8 +598,8 @@ Result<TablePtr> ExecutePlanNode(const PlanNode& plan, ExecContext* ctx) {
             SelRange(begin, end, sel);
             EvalPredicateBatch(*plan.predicate, in->columns(), sel);
           });
-      return GatherRows(plan.output_schema, *in, Concat(sels),
-                        ctx->exec_threads());
+      return SelectRows(plan.output_schema, in,
+                        Subset(Concat(sels), in->num_rows()));
     }
     case PlanKind::kProject: {
       XDB_ASSIGN_OR_RETURN(TablePtr in, ExecutePlan(*plan.children[0], ctx));
@@ -598,21 +608,38 @@ Result<TablePtr> ExecutePlanNode(const PlanNode& plan, ExecContext* ctx) {
         s->input_rows = static_cast<double>(in->num_rows());
         s->batches = MorselCount(in->num_rows(), kMorselRows);
       }
-      // Each morsel evaluates every output expression down its column; the
-      // morsel columns are then concatenated in morsel order.
-      auto parts = PerMorsel<std::vector<ColumnChunk>>(
-          ctx->exec_threads(), in->num_rows(), kMorselRows,
-          [&](size_t begin, size_t end, std::vector<ColumnChunk>* cols) {
-            SelVector sel;
-            SelRange(begin, end, &sel);
-            for (const auto& e : plan.exprs) {
-              cols->push_back(EvalExprBatch(*e, in->columns(), sel));
-            }
-          });
+      // A bare column reference passes its input column through. Each morsel
+      // evaluates every other output expression down its column; the morsel
+      // columns are then concatenated in morsel order.
+      std::vector<const Expr*> computed;
+      for (const auto& e : plan.exprs) {
+        if (e->kind != ExprKind::kColumnRef) computed.push_back(e.get());
+      }
+      std::vector<std::vector<ColumnChunk>> parts;
+      if (!computed.empty()) {
+        parts = PerMorsel<std::vector<ColumnChunk>>(
+            ctx->exec_threads(), in->num_rows(), kMorselRows,
+            [&](size_t begin, size_t end, std::vector<ColumnChunk>* cols) {
+              SelVector sel;
+              SelRange(begin, end, &sel);
+              for (const Expr* e : computed) {
+                cols->push_back(EvalExprBatch(*e, in->columns(), sel));
+              }
+            });
+      }
       std::vector<ColumnChunk> cols;
+      size_t next = 0;  // the next computed expression's slot in a part
       for (size_t c = 0; c < plan.exprs.size(); ++c) {
+        const Expr& e = *plan.exprs[c];
+        if (e.kind == ExprKind::kColumnRef) {
+          const ColumnChunk& col =
+              in->column(static_cast<size_t>(e.column_index));
+          cols.push_back(ColumnChunk::Reference({in, &col}, nullptr, nullptr));
+          continue;
+        }
         cols.emplace_back(plan.output_schema.field(c).type);
-        for (auto& part : parts) cols.back().Append(std::move(part[c]));
+        for (auto& part : parts) cols.back().Append(std::move(part[next]));
+        ++next;
       }
       return std::make_shared<Table>(plan.output_schema, std::move(cols),
                                      in->num_rows());
@@ -633,9 +660,9 @@ Result<TablePtr> ExecutePlanNode(const PlanNode& plan, ExecContext* ctx) {
         s->input_rows = static_cast<double>(in->num_rows());
         s->batches = 1;
       }
-      return GatherRows(plan.output_schema, *in,
-                        SortPermutation(*in, plan.sort_keys, -1),
-                        ctx->exec_threads());
+      return SelectRows(plan.output_schema, in,
+                        std::make_shared<const SelVector>(
+                            SortPermutation(*in, plan.sort_keys, -1)));
     }
     case PlanKind::kLimit: {
       // Top-N fusion: LIMIT directly over a Sort keeps only the N best
@@ -650,15 +677,18 @@ Result<TablePtr> ExecutePlanNode(const PlanNode& plan, ExecContext* ctx) {
         s->input_rows = static_cast<double>(in->num_rows());
         s->batches = 1;
       }
-      SelVector idx;
+      PositionsPtr idx;
       if (top_n) {
-        idx = SortPermutation(*in, child.sort_keys, plan.limit);
+        idx = std::make_shared<const SelVector>(
+            SortPermutation(*in, child.sort_keys, plan.limit));
       } else {
+        SelVector prefix;
         SelRange(0, std::min<size_t>(static_cast<size_t>(plan.limit),
                                      in->num_rows()),
-                 &idx);
+                 &prefix);
+        idx = Subset(std::move(prefix), in->num_rows());
       }
-      return GatherRows(plan.output_schema, *in, idx, ctx->exec_threads());
+      return SelectRows(plan.output_schema, in, idx);
     }
     case PlanKind::kPlaceholder:
       return Status::Internal(

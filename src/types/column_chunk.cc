@@ -17,6 +17,8 @@ const char* ColumnEncodingToString(ColumnEncoding e) {
       return "for";
     case ColumnEncoding::kBoxed:
       return "boxed";
+    case ColumnEncoding::kReference:
+      return "ref";
   }
   return "unknown";
 }
@@ -58,7 +60,40 @@ size_t RunIndexFor(const std::vector<uint32_t>& starts, size_t i) {
   return static_cast<size_t>(it - starts.begin()) - 1;
 }
 
+/// The run of each lane of an RLE chunk, for lanes visited in any order: a
+/// lane in the current or the next run moves the cursor; any other jump
+/// binary-searches the run starts.
+class RunCursor {
+ public:
+  explicit RunCursor(const std::vector<uint32_t>& starts) : starts_(starts) {}
+
+  size_t Seek(size_t lane) {
+    const auto r = static_cast<uint32_t>(lane);
+    if (!InRun(run_, r)) {
+      run_ = InRun(run_ + 1, r) ? run_ + 1 : RunIndexFor(starts_, r);
+    }
+    return run_;
+  }
+
+ private:
+  bool InRun(size_t run, uint32_t r) const {
+    return run < starts_.size() && starts_[run] <= r &&
+           (run + 1 == starts_.size() || r < starts_[run + 1]);
+  }
+
+  const std::vector<uint32_t>& starts_;
+  size_t run_ = 0;
+};
+
 }  // namespace
+
+template <typename At, typename Fn>
+auto ColumnChunk::ReadLanes(const At& at, const Fn& fn) const {
+  if (encoding_ != ColumnEncoding::kReference) return fn(*this, at);
+  if (pos_ == nullptr) return fn(*base_, at);
+  const Positions& pos = *pos_;
+  return fn(*base_, [&](size_t k) -> size_t { return pos[at(k)]; });
+}
 
 ColumnChunk ColumnChunk::Int64s(TypeId type, std::vector<int64_t> values,
                                 std::vector<uint8_t> nulls) {
@@ -105,6 +140,7 @@ void ColumnChunk::Reserve(size_t n) {
 }
 
 void ColumnChunk::Decode() {
+  Materialize();
   if (encoding_ == ColumnEncoding::kPlain ||
       encoding_ == ColumnEncoding::kBoxed) {
     return;
@@ -192,70 +228,103 @@ void ColumnChunk::Append(ColumnChunk other) {
   }
 }
 
-ColumnChunk ColumnChunk::Gather(const std::vector<uint32_t>& idx) const {
-  const size_t n = idx.size();
+template <typename At>
+ColumnChunk ColumnChunk::GatherAt(size_t n, const At& at) const {
   if (encoding_ == ColumnEncoding::kBoxed) {
     std::vector<Value> lanes;
     lanes.reserve(n);
-    for (uint32_t i : idx) lanes.push_back(boxed_[i]);
+    for (size_t k = 0; k < n; ++k) lanes.push_back(boxed_[at(k)]);
     return FromValues(type_, std::move(lanes));
   }
   ColumnChunk out(type_);
   out.size_ = n;
   if (!nulls_.empty()) {
     out.nulls_.resize(n);
-    for (size_t k = 0; k < n; ++k) out.nulls_[k] = nulls_[idx[k]];
+    for (size_t k = 0; k < n; ++k) out.nulls_[k] = nulls_[at(k)];
   }
   switch (encoding_) {
     case ColumnEncoding::kPlain:
       if (type_ == TypeId::kDouble) {
         out.f64_.resize(n);
-        for (size_t k = 0; k < n; ++k) out.f64_[k] = f64_[idx[k]];
+        for (size_t k = 0; k < n; ++k) out.f64_[k] = f64_[at(k)];
       } else if (type_ == TypeId::kString) {
         out.strs_.resize(n);
-        for (size_t k = 0; k < n; ++k) out.strs_[k] = strs_[idx[k]];
+        for (size_t k = 0; k < n; ++k) out.strs_[k] = strs_[at(k)];
       } else {
         out.i64_.resize(n);
-        for (size_t k = 0; k < n; ++k) out.i64_[k] = i64_[idx[k]];
+        for (size_t k = 0; k < n; ++k) out.i64_[k] = i64_[at(k)];
       }
       break;
     case ColumnEncoding::kDictionary:
       out.encoding_ = ColumnEncoding::kDictionary;
       out.dict_ = dict_;
       out.codes_.resize(n);
-      for (size_t k = 0; k < n; ++k) out.codes_[k] = codes_[idx[k]];
+      for (size_t k = 0; k < n; ++k) out.codes_[k] = codes_[at(k)];
       break;
     case ColumnEncoding::kFor: {
       out.i64_.resize(n);
       const uint64_t ref = static_cast<uint64_t>(for_ref_);
       for (size_t k = 0; k < n; ++k) {
-        out.i64_[k] = static_cast<int64_t>(ref + codes_[idx[k]]);
+        out.i64_[k] = static_cast<int64_t>(ref + codes_[at(k)]);
       }
       break;
     }
     case ColumnEncoding::kRle: {
-      // A lane in the current or the next run moves a cursor; any other
-      // jump binary-searches the run starts.
       out.i64_.resize(n);
-      const std::vector<uint32_t>& starts = run_starts_;
-      auto in_run = [&](size_t run, uint32_t r) {
-        return run < starts.size() && starts[run] <= r &&
-               (run + 1 == starts.size() || r < starts[run + 1]);
-      };
-      size_t run = 0;
+      RunCursor cursor(run_starts_);
       for (size_t k = 0; k < n; ++k) {
-        const uint32_t r = idx[k];
-        if (!in_run(run, r)) {
-          run = in_run(run + 1, r) ? run + 1 : RunIndexFor(starts, r);
-        }
-        out.i64_[k] = run_values_[run];
+        out.i64_[k] = run_values_[cursor.Seek(at(k))];
       }
       break;
     }
     case ColumnEncoding::kBoxed:
+    case ColumnEncoding::kReference:
       break;
   }
   return out;
+}
+
+ColumnChunk ColumnChunk::Gather(const std::vector<uint32_t>& idx) const {
+  return ReadLanes([&idx](size_t k) -> size_t { return idx[k]; },
+                   [&](const ColumnChunk& c, const auto& at) {
+                     return c.GatherAt(idx.size(), at);
+                   });
+}
+
+ColumnChunk ColumnChunk::Reference(std::shared_ptr<const ColumnChunk> col,
+                                   const PositionsPtr& idx,
+                                   Compositions* composed) {
+  ColumnChunk out(col->type_);
+  out.encoding_ = ColumnEncoding::kReference;
+  if (col->encoding_ != ColumnEncoding::kReference) {
+    out.base_ = std::move(col);
+    out.pos_ = idx;
+  } else if (idx == nullptr || col->pos_ == nullptr) {
+    out.base_ = col->base_;
+    out.pos_ = idx != nullptr ? idx : col->pos_;
+  } else {
+    out.base_ = col->base_;
+    const Positions* key = col->pos_.get();
+    auto it = std::find_if(composed->begin(), composed->end(),
+                           [key](const auto& c) { return c.first == key; });
+    if (it == composed->end()) {
+      auto pos = std::make_shared<Positions>(idx->size());
+      for (size_t k = 0; k < idx->size(); ++k) (*pos)[k] = (*key)[(*idx)[k]];
+      composed->emplace_back(key, std::move(pos));
+      it = composed->end() - 1;
+    }
+    out.pos_ = it->second;
+  }
+  out.size_ = out.pos_ != nullptr ? out.pos_->size() : out.base_->size_;
+  return out;
+}
+
+void ColumnChunk::Materialize() {
+  if (encoding_ != ColumnEncoding::kReference) return;
+  *this = ReadLanes([](size_t k) { return k; },
+                    [&](const ColumnChunk& c, const auto& at) {
+                      return c.GatherAt(size_, at);
+                    });
 }
 
 void ColumnChunk::Encode() {
@@ -369,27 +438,39 @@ size_t ColumnChunk::EncodedSize() const {
   return copy.encoded_size_;
 }
 
-size_t ColumnChunk::DecodedSize() const {
-  size_t n = 0;
+template <typename At>
+size_t ColumnChunk::DecodedSizeAt(size_t n, const At& at) const {
+  size_t bytes = 0;
   if (encoding_ == ColumnEncoding::kBoxed) {
-    for (const Value& v : boxed_) n += v.SerializedSize();
-    return n;
+    for (size_t k = 0; k < n; ++k) bytes += boxed_[at(k)].SerializedSize();
+    return bytes;
   }
+  if (type_ == TypeId::kBool) return n;
   size_t null_count = 0;
-  for (uint8_t b : nulls_) null_count += b;
-  const size_t non_null = size_ - null_count;
-  if (type_ == TypeId::kBool) return size_;
-  if (type_ != TypeId::kString) return 8 * non_null + null_count;
-  n = null_count + 4 * non_null;
-  for (size_t i = 0; i < size_; ++i) {
-    if (IsNull(i)) continue;
-    n += encoding_ == ColumnEncoding::kDictionary ? (*dict_)[codes_[i]].size()
-                                                  : strs_[i].size();
+  if (!nulls_.empty()) {
+    for (size_t k = 0; k < n; ++k) null_count += nulls_[at(k)];
   }
-  return n;
+  const size_t non_null = n - null_count;
+  if (type_ != TypeId::kString) return 8 * non_null + null_count;
+  bytes = null_count + 4 * non_null;
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = at(k);
+    if (!IsNull(i)) bytes += StringAt(i).size();
+  }
+  return bytes;
+}
+
+size_t ColumnChunk::DecodedSize() const {
+  return ReadLanes([](size_t k) { return k; },
+                   [&](const ColumnChunk& c, const auto& at) {
+                     return c.DecodedSizeAt(size_, at);
+                   });
 }
 
 Value ColumnChunk::GetValue(size_t i) const {
+  if (encoding_ == ColumnEncoding::kReference) {
+    return base_->GetValue(BaseLane(i));
+  }
   if (encoding_ == ColumnEncoding::kBoxed) return boxed_[i];
   if (IsNull(i)) return Value::Null(type_);
   int64_t v = 0;
@@ -408,6 +489,7 @@ Value ColumnChunk::GetValue(size_t i) const {
       v = static_cast<int64_t>(static_cast<uint64_t>(for_ref_) + codes_[i]);
       break;
     case ColumnEncoding::kBoxed:
+    case ColumnEncoding::kReference:
       break;
   }
   switch (type_) {
@@ -421,6 +503,10 @@ Value ColumnChunk::GetValue(size_t i) const {
 }
 
 void ColumnChunk::AppendNormalizedKey(size_t i, std::string* out) const {
+  if (encoding_ == ColumnEncoding::kReference) {
+    base_->AppendNormalizedKey(BaseLane(i), out);
+    return;
+  }
   if (encoding_ == ColumnEncoding::kBoxed) {
     boxed_[i].AppendNormalizedKey(out);
     return;
@@ -451,62 +537,70 @@ void ColumnChunk::AppendNormalizedKey(size_t i, std::string* out) const {
           out);
       return;
     case ColumnEncoding::kBoxed:
+    case ColumnEncoding::kReference:
       return;
+  }
+}
+
+template <typename At>
+void ColumnChunk::DecodeKeyLanesAt(size_t n, const At& at,
+                                   KeyLane* out) const {
+  switch (encoding_) {
+    case ColumnEncoding::kBoxed:
+      for (size_t k = 0; k < n; ++k) out[k] = boxed_[at(k)].ToKeyLane();
+      return;
+    case ColumnEncoding::kDictionary:
+      for (size_t k = 0; k < n; ++k) {
+        const size_t i = at(k);
+        out[k] = IsNull(i) ? KeyLane{} : StringKeyLane((*dict_)[codes_[i]]);
+      }
+      return;
+    case ColumnEncoding::kPlain:
+      if (type_ == TypeId::kDouble) {
+        for (size_t k = 0; k < n; ++k) out[k] = DoubleKeyLane(f64_[at(k)]);
+      } else if (type_ == TypeId::kString) {
+        for (size_t k = 0; k < n; ++k) out[k] = StringKeyLane(strs_[at(k)]);
+      } else {
+        for (size_t k = 0; k < n; ++k) {
+          out[k] = {KeyClass::kInt, static_cast<uint64_t>(i64_[at(k)])};
+        }
+      }
+      break;
+    case ColumnEncoding::kRle: {
+      RunCursor cursor(run_starts_);
+      for (size_t k = 0; k < n; ++k) {
+        out[k] = {KeyClass::kInt,
+                  static_cast<uint64_t>(run_values_[cursor.Seek(at(k))])};
+      }
+      return;  // RLE columns are null-free
+    }
+    case ColumnEncoding::kFor:
+      for (size_t k = 0; k < n; ++k) {
+        out[k] = {KeyClass::kInt,
+                  static_cast<uint64_t>(for_ref_) + codes_[at(k)]};
+      }
+      break;
+    case ColumnEncoding::kReference:
+      return;
+  }
+  if (nulls_.empty()) return;
+  for (size_t k = 0; k < n; ++k) {
+    if (nulls_[at(k)] != 0) out[k] = KeyLane{};
   }
 }
 
 void ColumnChunk::DecodeKeyLanes(size_t begin, size_t end,
                                  KeyLane* out) const {
-  switch (encoding_) {
-    case ColumnEncoding::kBoxed:
-      for (size_t i = begin; i < end; ++i) {
-        out[i - begin] = boxed_[i].ToKeyLane();
-      }
-      return;
-    case ColumnEncoding::kDictionary:
-      for (size_t i = begin; i < end; ++i) {
-        out[i - begin] =
-            IsNull(i) ? KeyLane{} : StringKeyLane((*dict_)[codes_[i]]);
-      }
-      return;
-    case ColumnEncoding::kPlain:
-      if (type_ == TypeId::kDouble) {
-        for (size_t i = begin; i < end; ++i) {
-          out[i - begin] = DoubleKeyLane(f64_[i]);
-        }
-      } else if (type_ == TypeId::kString) {
-        for (size_t i = begin; i < end; ++i) {
-          out[i - begin] = StringKeyLane(strs_[i]);
-        }
-      } else {
-        for (size_t i = begin; i < end; ++i) {
-          out[i - begin] = {KeyClass::kInt, static_cast<uint64_t>(i64_[i])};
-        }
-      }
-      break;
-    case ColumnEncoding::kRle: {
-      size_t run = RunIndexFor(run_starts_, begin);
-      for (size_t i = begin; i < end; ++i) {
-        if (run + 1 < run_starts_.size() && run_starts_[run + 1] == i) ++run;
-        out[i - begin] = {KeyClass::kInt,
-                          static_cast<uint64_t>(run_values_[run])};
-      }
-      return;  // RLE columns are null-free
-    }
-    case ColumnEncoding::kFor:
-      for (size_t i = begin; i < end; ++i) {
-        out[i - begin] = {KeyClass::kInt,
-                          static_cast<uint64_t>(for_ref_) + codes_[i]};
-      }
-      break;
-  }
-  if (nulls_.empty()) return;
-  for (size_t i = begin; i < end; ++i) {
-    if (nulls_[i] != 0) out[i - begin] = KeyLane{};
-  }
+  ReadLanes([begin](size_t k) { return begin + k; },
+            [&](const ColumnChunk& c, const auto& at) {
+              c.DecodeKeyLanesAt(end - begin, at, out);
+            });
 }
 
 const std::string& ColumnChunk::StringAt(size_t i) const {
+  if (encoding_ == ColumnEncoding::kReference) {
+    return base_->StringAt(BaseLane(i));
+  }
   if (encoding_ == ColumnEncoding::kBoxed) return boxed_[i].string_value();
   return encoding_ == ColumnEncoding::kDictionary ? (*dict_)[codes_[i]]
                                                   : strs_[i];

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/types/schema.h"
@@ -19,17 +20,20 @@ enum class ColumnEncoding : uint8_t {
   kRle,         // run-length encoded int64 runs (null-free columns only)
   kFor,         // frame-of-reference: base value + narrow per-lane offsets
   kBoxed,       // vector<Value> fallback (lanes whose type tags disagree)
+  kReference,   // lanes of a shared base chunk through a position list
+                // (operator outputs); never chosen by Encode(), never shipped
 };
 
 const char* ColumnEncodingToString(ColumnEncoding e);
 
 /// \brief One column of a Table: the lanes of a declared type.
 ///
-/// Columns built by appending values (AppendRow, operator outputs) are plain
-/// typed vectors with a NULL bytemap. A lane whose type tag differs from the
-/// declared type — a double in an int64 column, or a NULL carrying another
-/// type's tag — turns the column boxed, so GetValue() reconstructs every
-/// lane exactly: type tag, NULL-ness and double bit pattern included.
+/// Columns built by appending values (AppendRow, computed operator outputs)
+/// are plain typed vectors with a NULL bytemap. A lane whose type tag
+/// differs from the declared type — a double in an int64 column, or a NULL
+/// carrying another type's tag — turns the column boxed, so GetValue()
+/// reconstructs every lane exactly: type tag, NULL-ness and double bit
+/// pattern included.
 ///
 /// Encode() picks the cheapest representation: strings get a
 /// first-occurrence dictionary with narrow codes when that beats plain,
@@ -39,11 +43,26 @@ const char* ColumnEncodingToString(ColumnEncoding e);
 /// encoding, and Gather() keeps a dictionary (code space survives filters
 /// and joins) while decoding RLE and FOR lanes to plain.
 ///
+/// Operators do not copy lanes: a filter, join, sort or limit output is a
+/// reference chunk, the lanes pos[0], pos[1], ... of an immutable base chunk
+/// that is never itself a reference, and it shares ownership of that base.
+/// Every accessor reads through the position list, and Materialize() copies
+/// the lanes out into exactly the chunk a chain of eager Gather() calls on
+/// the base would have built.
+///
 /// EncodedSize() is the modelled wire width of the encoded chunk (what the
 /// columnar wire format charges); DecodedSize() is the row-format width (sum
 /// of Value::SerializedSize). EncodedSize() <= DecodedSize() always.
 class ColumnChunk {
  public:
+  /// The base lanes a reference chunk reads, shared by the reference chunks
+  /// an operator emits for one input.
+  using Positions = std::vector<uint32_t>;
+  using PositionsPtr = std::shared_ptr<const Positions>;
+  /// Position lists already composed by one operator, keyed by the input's
+  /// list (see Reference()).
+  using Compositions = std::vector<std::pair<const Positions*, PositionsPtr>>;
+
   ColumnChunk() = default;
   /// An empty plain column of declared type `type`.
   explicit ColumnChunk(TypeId type) : type_(type) {}
@@ -63,6 +82,19 @@ class ColumnChunk {
   /// Lanes idx[0], idx[1], ... as a new chunk of the same declared type.
   ColumnChunk Gather(const std::vector<uint32_t>& idx) const;
 
+  /// A reference to the lanes idx[0], idx[1], ... of `*col` (every lane when
+  /// `idx` is null), holding `col` so the lanes outlive their other owners.
+  /// When `*col` is itself a reference, the result reads its base through
+  /// col's list composed with `idx`; `composed` (unused when `idx` is null)
+  /// caches each composition, so that the columns of one input that share a
+  /// list compose it once.
+  static ColumnChunk Reference(std::shared_ptr<const ColumnChunk> col,
+                               const PositionsPtr& idx,
+                               Compositions* composed);
+  /// Turns a reference into a chunk that owns its lanes: the chunk that
+  /// Gather() on the base would build. Other chunks are left as they are.
+  void Materialize();
+
   void Append(const Value& v);
   /// Appends all of `other`'s lanes (concatenating morsel outputs).
   void Append(ColumnChunk other);
@@ -72,10 +104,15 @@ class ColumnChunk {
   TypeId type() const { return type_; }
   size_t size() const { return size_; }
   bool IsNull(size_t i) const {
-    return encoding_ == ColumnEncoding::kBoxed
-               ? boxed_[i].is_null()
-               : !nulls_.empty() && nulls_[i] != 0;
+    if (encoding_ == ColumnEncoding::kBoxed) return boxed_[i].is_null();
+    if (encoding_ == ColumnEncoding::kReference) {
+      return base_->IsNull(BaseLane(i));
+    }
+    return !nulls_.empty() && nulls_[i] != 0;
   }
+  /// A reference's position list; null for every other chunk, and for a
+  /// reference that reads every lane of its base.
+  const PositionsPtr& positions() const { return pos_; }
 
   /// Reconstructs lane `i` as the exact original Value.
   Value GetValue(size_t i) const;
@@ -97,7 +134,8 @@ class ColumnChunk {
   /// 4 B plus its length.
   size_t DecodedSize() const;
 
-  // Typed payload access for the vectorized kernels. Valid per encoding().
+  // Typed payload access for the vectorized kernels. Valid per encoding();
+  // a reference has none (the kernels read the gathers of their inputs).
   const std::vector<int64_t>& i64_data() const { return i64_; }
   const std::vector<double>& f64_data() const { return f64_; }
   const std::vector<std::string>& str_data() const { return strs_; }
@@ -105,8 +143,25 @@ class ColumnChunk {
   const std::vector<uint32_t>& codes() const { return codes_; }
 
  private:
-  /// Decodes dictionary, RLE and FOR lanes back to plain (in place).
+  /// Decodes dictionary, RLE, FOR and reference lanes back to plain (in
+  /// place).
   void Decode();
+
+  size_t BaseLane(size_t i) const { return pos_ ? (*pos_)[i] : i; }
+  /// Calls fn(chunk, lane) on the chunk that holds the lanes at(0), at(1),
+  /// ... of this one: *this with `at` itself, or a reference's base with
+  /// lane(k) = pos[at(k)].
+  template <typename At, typename Fn>
+  auto ReadLanes(const At& at, const Fn& fn) const;
+
+  // The lane-reading bodies of Gather, DecodeKeyLanes and DecodedSize over
+  // the n lanes at(0), at(1), ... of a chunk that is not a reference.
+  template <typename At>
+  ColumnChunk GatherAt(size_t n, const At& at) const;
+  template <typename At>
+  void DecodeKeyLanesAt(size_t n, const At& at, KeyLane* out) const;
+  template <typename At>
+  size_t DecodedSizeAt(size_t n, const At& at) const;
 
   ColumnEncoding encoding_ = ColumnEncoding::kPlain;
   TypeId type_ = TypeId::kInt64;
@@ -124,6 +179,9 @@ class ColumnChunk {
   std::vector<uint32_t> run_starts_;  // kRle: first lane of each run (asc)
   // kBoxed lanes; a column is boxed only while some lane's tag differs.
   std::vector<Value> boxed_;
+  // kReference: lanes (*pos_)[i] of base_ (every lane when pos_ is null).
+  std::shared_ptr<const ColumnChunk> base_;
+  PositionsPtr pos_;
   // Encode() sets both (its chosen wire width); an Append clears encoded_.
   bool encoded_ = false;
   size_t encoded_size_ = 0;

@@ -59,6 +59,10 @@ void Table::Encode() {
   for (ColumnChunk& c : columns_) c.Encode();
 }
 
+void Table::Materialize() {
+  for (ColumnChunk& c : columns_) c.Materialize();
+}
+
 size_t Table::SerializedSize() const {
   size_t n = 0;
   for (const ColumnChunk& c : columns_) n += c.DecodedSize();

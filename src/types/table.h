@@ -17,11 +17,13 @@ size_t RowSerializedSize(const Row& row);
 ///
 /// This is the storage substrate of the simulated DBMS nodes and the only
 /// thing operators pass to each other: typed columns, encoded at load time
-/// for base tables and gathered by index for operator outputs. Rows exist
-/// only at the edges — AppendRow and the row constructor build columns, and
-/// rows()/row() decode fresh copies for printing, oracles and tests. A table
-/// is built by one writer and read-only once shared, so concurrent const
-/// readers need no synchronization.
+/// for base tables, and for operator outputs either computed or references
+/// to the lanes of their inputs' columns. Rows exist only at the edges —
+/// AppendRow and the row constructor build columns, and rows()/row() decode
+/// fresh copies for printing, oracles and tests. A table is built by one
+/// writer and read-only once shared, so concurrent const readers need no
+/// synchronization, and a reference column may share ownership of another
+/// table's column (see ColumnChunk::Reference).
 class Table {
  public:
   Table() = default;
@@ -49,6 +51,9 @@ class Table {
   /// Re-encodes every column into its cheapest encoding (base tables, at
   /// load time).
   void Encode();
+  /// Copies the lanes of every reference column into the column, so that
+  /// the table owns all its lanes (stored relations).
+  void Materialize();
 
   /// Total serialized size of all rows in row format (what the classic wire
   /// mode ships).

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "src/dbms/federation.h"
+#include "src/dbms/server.h"
 #include "src/exec/executor.h"
+#include "src/tpch/dbgen.h"
 
 namespace xdb {
 namespace {
@@ -399,6 +402,42 @@ TEST(ExecutorTest, TraceCountersAccumulate) {
   EXPECT_DOUBLE_EQ(ctx.trace_.join_build_rows, 1.0);  // builds smaller side
   EXPECT_DOUBLE_EQ(ctx.trace_.join_probe_rows, 2.0);
   EXPECT_DOUBLE_EQ(ctx.trace_.join_output_rows, 1.0);
+}
+
+/// Runs `sql` over the TPC-H nation table at `threads` exec threads and
+/// expects the query to fail as an int64 overflow: integer SUM is exact
+/// and its total must fit int64, as PostgreSQL's bigint SUM does.
+void ExpectSumOutOfRange(const std::string& sql, int threads) {
+  SCOPED_TRACE(sql + " at exec_threads=" + std::to_string(threads));
+  Federation fed;
+  fed.SetNetwork(Network::Lan({"db"}));
+  DatabaseServer* db = fed.AddServer("db", EngineProfile::Postgres());
+  db->set_exec_threads(threads);
+  ASSERT_TRUE(db->CreateBaseTable("nation", tpch::DbGen(0.01).Nation()).ok());
+  auto r = db->ExecuteQuery(sql);
+  ASSERT_FALSE(r.ok()) << (*r)->ToDisplayString();
+  EXPECT_EQ(r.status().code(), StatusCode::kExecutionError);
+  EXPECT_NE(r.status().message().find("out of range"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(ExecutorTest, IntegerSumOutOfRangeFails) {
+  // 25 lanes near 2^63: the true total is about 2.3e20.
+  for (int threads : {1, 4}) {
+    ExpectSumOutOfRange(
+        "SELECT SUM(n_nationkey + 9223372036854775000) AS s FROM nation",
+        threads);
+  }
+}
+
+TEST(ExecutorTest, GroupedIntegerSumOutOfRangeFails) {
+  // Every region's five nations overflow on their own.
+  for (int threads : {1, 4}) {
+    ExpectSumOutOfRange(
+        "SELECT n_regionkey, SUM(n_nationkey + 9223372036854775000) AS s "
+        "FROM nation GROUP BY n_regionkey",
+        threads);
+  }
 }
 
 }  // namespace

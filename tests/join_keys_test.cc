@@ -241,12 +241,12 @@ Pairs JoinPairs(const TablePtr& left, const TablePtr& right, size_t width,
       &ctx);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   if (!out.ok()) return {};
-  // The id columns are plain, and so are their gathers.
-  const std::vector<int64_t>& lid = (*out)->column(width).i64_data();
-  const std::vector<int64_t>& rid = (*out)->column(2 * width + 1).i64_data();
+  const ColumnChunk& lid = (*out)->column(width);
+  const ColumnChunk& rid = (*out)->column(2 * width + 1);
   Pairs pairs;
   for (size_t i = 0; i < (*out)->num_rows(); ++i) {
-    pairs.emplace_back(lid[i], rid[i]);
+    pairs.emplace_back(lid.GetValue(i).int64_value(),
+                       rid.GetValue(i).int64_value());
   }
   return pairs;
 }

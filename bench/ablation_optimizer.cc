@@ -5,7 +5,8 @@
 //   - movement-type decision forced to always-implicit / always-explicit
 //     instead of Eq. 1's cost-based choice.
 // Metric: modelled runtime and inter-DBMS transfer volume for the six
-// evaluation queries (TD1, SF 10).
+// evaluation queries (TD1, SF 10). With --json, each variant's runs are
+// recorded under the system name "XDB/<variant>".
 
 #include "bench/bench_common.h"
 
@@ -82,6 +83,8 @@ void Run() {
         std::printf(" %22s", "FAILED");
         continue;
       }
+      JsonReport::Instance().Record(std::string("XDB/") + variants[i].name,
+                                    q.sql, *r);
       char cell[64];
       std::snprintf(cell, sizeof(cell), "%8.1f / %8.1f",
                     r->total_seconds(), TransferMb(*r));

@@ -1,0 +1,263 @@
+// Pins the optimizer's output bit for bit: plans, cardinality estimates,
+// consultations, deployed DDL, EXPLAIN ANALYZE text and the estimate ledger.
+//
+// Cases: the six evaluation queries on XDB under TD1-TD3 x bushy joins
+// off/on x the three movement policies (108), and on Garlic, Presto and
+// ScleraDB under TD1-TD3 (54). Every server runs at exec_threads 1 because
+// EXPLAIN ANALYZE prints `threads=`, and every server carries its own
+// operator profiler, attached the way XdbSystem::ExplainAnalyze attaches
+// them.
+//
+// Each case's digest is FNV-1a over: the delegation plan's rendering and
+// each task's operator tree; the bit patterns of every task's and edge's
+// est_rows; the DDL log; the consultation count; each server's rendered
+// operator profile; and the bit patterns of every ledger record's est_*
+// fields. A mismatch prints the case and the digest it produced; after an
+// intended change to plans or estimates, each reported `got=` value
+// replaces the case's entry in kExpected.
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/dbms/server.h"
+#include "src/mediator/mediator.h"
+#include "src/tpch/distributions.h"
+#include "src/tpch/queries.h"
+#include "src/xdb/xdb.h"
+
+namespace xdb {
+namespace {
+
+constexpr double kSf = 0.002;
+constexpr int kXdbCases = 6 * 3 * 2 * 3;
+constexpr int kMediatorCases = 6 * 3 * 3;
+
+extern const uint64_t kExpectedXdb[kXdbCases];
+extern const uint64_t kExpectedMediators[kMediatorCases];
+
+class Fnv {
+ public:
+  void Bytes(const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
+  void F64(double d) {
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    U64(bits);
+  }
+  void Str(const std::string& s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+using RunFn = std::function<Result<XdbReport>(const std::string&)>;
+
+/// One federation with a profiler on every server, all at one thread.
+struct Bed {
+  std::unique_ptr<Federation> fed;
+  std::map<std::string, OperatorProfiler> profilers;
+
+  void AttachProfilers() {
+    for (const auto& name : fed->ServerNames()) {
+      DatabaseServer* server = fed->GetServer(name);
+      server->set_exec_threads(1);
+      server->set_profiler(&profilers[name]);
+    }
+  }
+  void DetachProfilers() {
+    for (const auto& name : fed->ServerNames()) {
+      fed->GetServer(name)->set_profiler(nullptr);
+    }
+  }
+};
+
+Result<uint64_t> DigestQuery(Bed* bed, const RunFn& run,
+                             const std::string& sql) {
+  for (auto& [name, prof] : bed->profilers) prof.Clear();
+  XDB_ASSIGN_OR_RETURN(XdbReport r, run(sql));
+  Fnv f;
+  f.Str(r.plan.ToString());
+  f.U64(r.plan.tasks.size());
+  for (const auto& t : r.plan.tasks) {
+    f.Str(t.expr->ToString());
+    f.F64(t.est_rows);
+  }
+  f.U64(r.plan.edges.size());
+  for (const auto& e : r.plan.edges) f.F64(e.est_rows);
+  f.U64(r.ddl_log.size());
+  for (const auto& [server, ddl] : r.ddl_log) {
+    f.Str(server);
+    f.Str(ddl);
+  }
+  f.U64(static_cast<uint64_t>(r.consultations));
+  for (const auto& [name, prof] : bed->profilers) {
+    const DatabaseServer* server = bed->fed->GetServer(name);
+    const std::vector<std::string> lines = prof.Render(server->profile());
+    f.Str(name);
+    f.U64(lines.size());
+    for (const auto& line : lines) f.Str(line);
+  }
+  f.U64(r.trace.estimates.size());
+  for (const auto& ea : r.trace.estimates) {
+    f.F64(ea.est_input_rows);
+    f.F64(ea.est_rows);
+    f.F64(ea.est_seconds);
+    f.F64(ea.est_bytes);
+  }
+  return f.value();
+}
+
+/// Runs the six evaluation queries through `run` and checks each digest
+/// against `expected[first_case + i]`.
+void CheckQueries(Bed* bed, const RunFn& run, const std::string& config,
+                  const uint64_t* expected, int first_case) {
+  const auto& queries = tpch::EvaluationQueries();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const int index = first_case + static_cast<int>(i);
+    Result<uint64_t> d = DigestQuery(bed, run, queries[i].sql);
+    if (!d.ok()) {
+      ADD_FAILURE() << "PlanDigest error: case=" << index << " " << config
+                    << " " << queries[i].id << " -> "
+                    << d.status().ToString();
+      continue;
+    }
+    if (*d != expected[index]) {
+      char got[32];
+      std::snprintf(got, sizeof(got), "0x%016" PRIx64, *d);
+      ADD_FAILURE() << "PlanDigest mismatch: case=" << index << " " << config
+                    << " " << queries[i].id << " got=" << got;
+    }
+  }
+}
+
+TEST(PlanDigest, Xdb) {
+  int index = 0;
+  for (int td = 1; td <= 3; ++td) {
+    for (bool bushy : {false, true}) {
+      for (int policy = 0; policy < 3; ++policy) {
+        Bed bed;
+        bed.fed = tpch::BuildTpchFederation(kSf,
+                                            tpch::DistributionByIndex(td));
+        XdbOptions opts;
+        opts.exec_threads = 1;
+        opts.planner.bushy_joins = bushy;
+        opts.movement_policy = policy;
+        XdbSystem sys(bed.fed.get(), opts);
+        bed.AttachProfilers();
+        const std::string config = "xdb/TD" + std::to_string(td) +
+                                   " bushy=" + (bushy ? "on" : "off") +
+                                   " policy=" + std::to_string(policy);
+        CheckQueries(
+            &bed, [&](const std::string& sql) { return sys.Query(sql); },
+            config, kExpectedXdb, index);
+        bed.DetachProfilers();
+        index += 6;
+      }
+    }
+  }
+}
+
+TEST(PlanDigest, Mediators) {
+  int index = 0;
+  for (int td = 1; td <= 3; ++td) {
+    for (MediatorKind kind : {MediatorKind::kGarlic, MediatorKind::kPresto,
+                              MediatorKind::kSclera}) {
+      Bed bed;
+      bed.fed = tpch::BuildTpchFederation(kSf, tpch::DistributionByIndex(td));
+      MediatorOptions opts;
+      opts.exec_threads = 1;
+      MediatorSystem sys(bed.fed.get(), kind, opts);
+      bed.AttachProfilers();
+      const std::string config = std::string(MediatorKindToString(kind)) +
+                                 "/TD" + std::to_string(td);
+      CheckQueries(
+          &bed, [&](const std::string& sql) { return sys.Query(sql); },
+          config, kExpectedMediators, index);
+      bed.DetachProfilers();
+      index += 6;
+    }
+  }
+}
+
+// Recorded digests, in case order: XDB by TD, then bushy off/on, then
+// movement policy (cost-based, always implicit, always explicit), six
+// queries each; the mediators by TD, then Garlic, Presto, ScleraDB.
+const uint64_t kExpectedXdb[kXdbCases] = {
+    0xfb0a0a0626f763f9ull, 0x932c917867de2cbdull, 0x8e084481497175e2ull,
+    0x6b24405ae7763923ull, 0xdb7b1ca29d81387full, 0xf1b4c98a46c989b7ull,
+    0xfd06e9bafc1a831bull, 0x4aa8cca43906d0b1ull, 0x351e838f3342adb7ull,
+    0x14ff9a2bb2c09455ull, 0x3c06966cda1213b8ull, 0x1a1b41bd15748eebull,
+    0xf8be0387e31c4854ull, 0xa421726faf3bb9bfull, 0x2ba66f38daebf910ull,
+    0x71a874dc4e4d1276ull, 0x7fd851882f1efe81ull, 0x6197e424dfda7caeull,
+    0x26b94046cbd18e4dull, 0xb9935efca4888753ull, 0x49decbb8013e5c2full,
+    0x7498e34811ecb4a4ull, 0x827e80eef66ab2daull, 0x6e961ef51f5653f5ull,
+    0x43d9e4af20f19de7ull, 0x42b3f0dacece2f0full, 0x93efdcf1ad50c8b5ull,
+    0x61986d440bd839c6ull, 0x2df2f7b5ba281dbbull, 0xebb8f5c3422ce701ull,
+    0x9c2ffd280e9a007eull, 0xe7f74a3af53be7e9ull, 0x951dd005a1cb040dull,
+    0xa359bc56ad0898a4ull, 0xfa8351e25361ee7bull, 0xb585abe5e1aef470ull,
+    0x31923d67245bfb38ull, 0x02184762aec94af9ull, 0x688501d3dfbe458dull,
+    0xbdcae951419ad377ull, 0x14523c573099a0c3ull, 0x10b39196236a14f7ull,
+    0xd8196eb3bec05664ull, 0xdc8cbd2ab5244f71ull, 0xfb80609de77964e0ull,
+    0xc02509a25c51913eull, 0x345d20e7ff9399d6ull, 0x2b9dbfb8e5525651ull,
+    0x4d5d30989e369462ull, 0xe238fd02798704b5ull, 0x7ec5583445652492ull,
+    0xfb9ac0cf95e7cf7cull, 0xbb7b827eed8568b8ull, 0xc1a1b55acf6f162dull,
+    0x8a2ca730d9c7a7c0ull, 0xfd9945440d3cd97full, 0xff3a0ccecf8fdbfaull,
+    0xe15b6a34127f57cbull, 0x85bbda901df96415ull, 0x64a858a7d93d1e1dull,
+    0x1ec621cca9e2cb64ull, 0x0c3e92b1912f39b7ull, 0x3045d27635f5527full,
+    0xce26353cfb4e9470ull, 0x30c5dbe3cb156041ull, 0x70e2765a7f91f2e3ull,
+    0x435dd0f432dfa720ull, 0xf2044928cd44ee0bull, 0x9d34b88e56713b27ull,
+    0x32d13c8d6bf6e043ull, 0xe5a44e41922fd5a8ull, 0xfe204c65cf507dafull,
+    0x98b70aa7137678daull, 0xd292dbab43b4f4d8ull, 0xef43da22aee9a829ull,
+    0xc24205829670e540ull, 0xcca0524ab6763976ull, 0x783a9a0be7a3695dull,
+    0x536b9f0995eb6f86ull, 0x0e77ec00721027c0ull, 0x93436daf59f50c37ull,
+    0x3d3046be2de406cfull, 0x819cb91dd7abdd5full, 0x89a4c8200507487bull,
+    0xcd961ae05ebeb064ull, 0xda9f72bf7a04237eull, 0x8887e8b3345a048aull,
+    0x6fcf2694df665c49ull, 0x7d62c19e7f9f5c87ull, 0x6199aceb9ab4a781ull,
+    0xb6cab11f7d25f12aull, 0xe6d25fa23aca0830ull, 0x0cb228116ef3642dull,
+    0x33b16cc788a8fb42ull, 0xda8c0f2e802731a6ull, 0xad68450630c1e2dfull,
+    0x6e95d6e7ba10da1eull, 0xee02755e5ab44118ull, 0xd6c5e6c90a436e95ull,
+    0x0b7d019f3874042dull, 0x3eaf280c03aef221ull, 0x4bdf75160908a6b1ull,
+    0xd5acb20f193d6c46ull, 0x2a30e601dc73b552ull, 0x6f8c471c311f2310ull,
+    0x1e42b5858bd50942ull, 0xf05cbc9a91d34efbull, 0xba998b9d1a495153ull,
+};
+const uint64_t kExpectedMediators[kMediatorCases] = {
+    0x79ad21eee2e0a9c7ull, 0x2c0c296f14b2aa9dull, 0x96f8ba8dbec7ae5eull,
+    0xaf4387471f025fdaull, 0x0e5555753bdb54c4ull, 0xad1b0a112bc4d48dull,
+    0xc63d57fd5bae99a3ull, 0x8328a943d5dc8034ull, 0x0568a829f1d54ac4ull,
+    0xf45f5786deb0554dull, 0x7ce741b30cdf2adfull, 0xfcf2368c2021b4f2ull,
+    0xb331c11a03a55459ull, 0x73a000e596efc177ull, 0x83253a3822f7bef5ull,
+    0x59a22a23f19f01b5ull, 0x1797727351ae6f9cull, 0xfef6cc8c3d6b0307ull,
+    0x0c812886cc645085ull, 0x9363ca1ad72dd476ull, 0x4075cf1e70cddb77ull,
+    0xc24789b8ef491132ull, 0x77b1f30724c07c5aull, 0x275f08262306c73eull,
+    0x5594b092a346b53aull, 0x61d830389f2eb23aull, 0xfae4a8910fc8863cull,
+    0xf2469b13bb03c77aull, 0xb74649dbc92e683dull, 0x89f4771a6bb0fceaull,
+    0x4d92e3e7195fecedull, 0xc8bf7a404d02572full, 0x0fb9dfb94627e50aull,
+    0x14807c9dd2c10d82ull, 0x4ac8a10c50df8b6dull, 0xf68185b341d83191ull,
+    0x316adc5426f565c7ull, 0x403a9eb48ad5352cull, 0xe9e7b97033f76c91ull,
+    0x2c3c88c53b88e059ull, 0xe7fbb244adcc8f94ull, 0xa6e6e53ec5835858ull,
+    0x39f1f8d132a34444ull, 0x046f1bc2cae1a72eull, 0x3aa8f9a0260e2da6ull,
+    0x8f3b0ca163696497ull, 0xf41f82ef74ddb14full, 0x3debe9b21b6f1bc0ull,
+    0x6bcb47f86d16bf07ull, 0x0b3c7b6338b5cbc4ull, 0x174b2f0a3e6f7226ull,
+    0x4fce46ea9c3e4caeull, 0x06ca67bf8efd6dc9ull, 0x0aba62287c179abdull,
+};
+
+}  // namespace
+}  // namespace xdb

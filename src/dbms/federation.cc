@@ -73,20 +73,21 @@ RunTrace Federation::FinishRun() {
   for (const auto& t : rs.run.transfers) {
     // messages == 0 is a failed remote evaluation: nothing was delivered,
     // so there is no actual to hold the estimate against.
-    if (t.failed || t.est_rows < 0 || t.messages == 0) continue;
+    if (t.failed || t.messages == 0) continue;
     EstimateActual ea;
-    ea.op = "transfer";
+    ea.op.transfer = true;
     ea.server = t.src + "->" + t.dst;
     ea.detail = t.relation;
     ea.est_rows = t.est_rows;
     ea.act_rows = t.rows;
-    ea.est_bytes = std::max(0.0, t.est_bytes);
+    ea.est_bytes = t.est_bytes;
     ea.act_bytes = t.bytes;
     ea.q_error = QError(t.est_rows, t.rows);
     if (metrics_ != nullptr) {
       m_.qerror->Observe(ea.q_error);
       metrics_
-          ->GetHistogram("xdb_qerror", {{"op", ea.op}, {"server", ea.server}},
+          ->GetHistogram("xdb_qerror",
+                         {{"op", EstimateOpName(ea.op)}, {"server", ea.server}},
                          {})
           ->Observe(ea.q_error);
       double berr = QError(ea.est_bytes, ea.act_bytes);
@@ -160,7 +161,7 @@ Result<TablePtr> Federation::Fetch(const DatabaseServer& consumer,
   // The planner's byte estimate is in serialized row-format bytes; put it
   // on the same wire-inflation basis as the observed charge so the byte
   // q-error reflects cardinality/width error, not protocol constants.
-  const double est_wire_bytes = est_bytes < 0 ? -1 : est_bytes * inflation;
+  const double est_wire_bytes = est_bytes * inflation;
 
   // One attempt end to end; an injected link drop aborts it mid-flight,
   // wasting the bytes already sent.
@@ -394,7 +395,9 @@ void Federation::RecordEstimate(EstimateActual record) {
     m_.qerror->Observe(record.q_error);
     metrics_
         ->GetHistogram("xdb_qerror",
-                       {{"op", record.op}, {"server", record.server}}, {})
+                       {{"op", EstimateOpName(record.op)},
+                        {"server", record.server}},
+                       {})
         ->Observe(record.q_error);
   }
   RunState& rs = ThreadRun();

@@ -109,8 +109,8 @@ class Federation {
   /// (a link drop wastes half the payload), retried through RunWithRetry.
   /// An undeliverable fragment becomes an empty relation when the query
   /// allows partial results; otherwise the error carries a FailureSite.
-  /// `est_rows`/`est_bytes` are the planner's stamped estimates (-1 when
-  /// unstamped); `materialized` marks the consumer's CTAS input.
+  /// `est_rows`/`est_bytes` are the planner's estimates for the foreign
+  /// scan; `materialized` marks the consumer's CTAS input.
   Result<TablePtr> Fetch(const DatabaseServer& consumer,
                          const std::string& producer,
                          const std::string& relation, double est_rows,
@@ -293,7 +293,7 @@ class Federation {
 
   /// Pushes a producer-compute frame for a fetch of `relation` from `src`
   /// by `dst`; inside an active run also opens its transfer record (with
-  /// the planner's estimates, -1 when unstamped), fetch span and metrics.
+  /// the planner's estimates), fetch span and metrics.
   void OpenTransfer(const std::string& src, const std::string& dst,
                     const std::string& relation, double est_rows,
                     double est_bytes);

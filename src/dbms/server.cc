@@ -204,49 +204,19 @@ Result<PlanPtr> DatabaseServer::Resolve(const std::string& db,
 
 Result<PlanPtr> DatabaseServer::PlanQuery(const sql::SelectStmt& stmt) {
   Planner planner(this);
-  XDB_ASSIGN_OR_RETURN(PlanPtr plan, planner.Plan(stmt));
-  // Stamp planning-time estimates on every node before execution: the
-  // executor threads them into transfer records, and an attached profiler
-  // joins them with observed cardinalities (estimation accountability).
-  // One bottom-up pass over a small plan — observationally free.
-  Estimator().StampEstimates(*plan);
-  return plan;
+  return planner.Plan(stmt);
 }
 
 // ---------------------------------------------------------------------------
 // Declarative interface
 // ---------------------------------------------------------------------------
 
-namespace {
-const char* OperatorName(const OperatorStats& s) {
-  switch (s.kind) {
-    case PlanKind::kScan:
-      return s.is_foreign ? "ForeignScan" : "Scan";
-    case PlanKind::kFilter:
-      return "Filter";
-    case PlanKind::kProject:
-      return "Project";
-    case PlanKind::kJoin:
-      return "Join";
-    case PlanKind::kAggregate:
-      return "Aggregate";
-    case PlanKind::kSort:
-      return "Sort";
-    case PlanKind::kLimit:
-      return "Limit";
-    case PlanKind::kPlaceholder:
-      return "Placeholder";
-  }
-  return "Unknown";
-}
-}  // namespace
-
 Result<TablePtr> DatabaseServer::ExecutePlanHere(const PlanNode& plan,
                                                  bool materialized) {
   Context ctx(this, materialized);
   OperatorProfiler* prof = profiler();
   if (prof == nullptr) return ExecutePlan(plan, &ctx);
-  // With a profiler attached, join each newly-profiled operator's stamped
+  // With a profiler attached, join each newly-profiled operator's
   // estimate with its observed cardinality and bank the divergence on the
   // active run. The watermark scopes the join to this statement, so a
   // profiler attached across a whole bench run never double-emits.
@@ -255,9 +225,10 @@ Result<TablePtr> DatabaseServer::ExecutePlanHere(const PlanNode& plan,
   if (result.ok()) {
     for (size_t i = mark; i < prof->records().size(); ++i) {
       const OperatorStats& s = prof->records()[i];
-      if (s.est_rows < 0) continue;
       EstimateActual ea;
-      ea.op = OperatorName(s);
+      ea.op.kind = s.kind;
+      ea.op.foreign_scan = s.is_foreign;
+      ea.predicate_class = s.predicate_class;
       ea.server = name_;
       ea.detail = s.label;
       ea.est_input_rows = s.est_input_rows;
@@ -289,9 +260,6 @@ Result<TablePtr> DatabaseServer::ExecuteQuery(const std::string& sql) {
 
 Result<TablePtr> DatabaseServer::ServeRemote(const std::string& relation) {
   XDB_ASSIGN_OR_RETURN(PlanPtr plan, Resolve("", relation));
-  // Resolve() hands back unstamped plans (base scans, expanded views);
-  // stamp here so delegated-view evaluation is accountable too.
-  Estimator().StampEstimates(*plan);
   return ExecutePlanHere(*plan);
 }
 
@@ -356,8 +324,7 @@ Status DatabaseServer::ExecuteParsed(const sql::Statement& stmt,
       // EXPLAIN as a statement: one text row per plan line, plus a cost
       // summary — roughly what a real DBMS prints.
       XDB_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(*stmt.select));
-      Estimator est;
-      PlanEstimate e = est.Estimate(*plan);
+      const PlanEstimate& e = *plan->estimate;
       auto table = std::make_shared<Table>(
           Schema({{"plan", TypeId::kString}}));
       for (const auto& line : Split(plan->ToString(), '\n')) {
@@ -498,32 +465,30 @@ Result<double> DatabaseServer::EstimateRelationRows(
     return entry.stats.row_count;
   }
   XDB_ASSIGN_OR_RETURN(PlanPtr plan, Resolve("", key));
-  Estimator est;
-  return est.Estimate(*plan).rows;
+  return plan->estimate->rows;
 }
 
 double DatabaseServer::ModeledPlanCost(const PlanNode& plan) const {
-  Estimator est;
   double cost = 0;
-  // Recursive walk; each node contributes rows x profile weight.
+  // Post-order walk; each node contributes rows x profile weight, read off
+  // its own and its children's estimates.
   std::function<void(const PlanNode&)> walk = [&](const PlanNode& node) {
     for (const auto& c : node.children) walk(*c);
-    PlanEstimate e = est.Estimate(node);
+    const double rows = node.estimate->rows;
     switch (node.kind) {
       case PlanKind::kScan:
-        cost += e.rows * (node.is_foreign ? profile_.fetch_row_cost
-                                          : profile_.scan_row_cost);
+        cost += rows * (node.is_foreign ? profile_.fetch_row_cost
+                                        : profile_.scan_row_cost);
         break;
       case PlanKind::kFilter:
-        cost += est.Estimate(*node.children[0]).rows *
-                profile_.filter_row_cost;
+        cost += node.children[0]->estimate->rows * profile_.filter_row_cost;
         break;
       case PlanKind::kProject:
-        cost += e.rows * profile_.project_row_cost;
+        cost += rows * profile_.project_row_cost;
         break;
       case PlanKind::kJoin: {
-        double l = est.Estimate(*node.children[0]).rows;
-        double r = est.Estimate(*node.children[1]).rows;
+        double l = node.children[0]->estimate->rows;
+        double r = node.children[1]->estimate->rows;
         // Joining against a pipelined foreign stream is costlier than a
         // local relation: the engine has no statistics and cannot pick
         // build sides, and a large stream risks rescans (the paper's
@@ -539,17 +504,16 @@ double DatabaseServer::ModeledPlanCost(const PlanNode& plan) const {
           return own_rows > other_rows / 2 ? 5.0 : 1.5;
         };
         cost += (l * stream_penalty(*node.children[0], l, r) +
-                 r * stream_penalty(*node.children[1], r, l) + e.rows) *
+                 r * stream_penalty(*node.children[1], r, l) + rows) *
                 profile_.join_row_cost;
         break;
       }
       case PlanKind::kAggregate:
-        cost += (est.Estimate(*node.children[0]).rows + e.rows) *
+        cost += (node.children[0]->estimate->rows + rows) *
                 profile_.agg_row_cost;
         break;
       case PlanKind::kSort: {
-        double n = e.rows;
-        cost += n * std::log2(n + 2.0) * profile_.sort_row_cost;
+        cost += rows * std::log2(rows + 2.0) * profile_.sort_row_cost;
         break;
       }
       case PlanKind::kLimit:
@@ -557,29 +521,13 @@ double DatabaseServer::ModeledPlanCost(const PlanNode& plan) const {
       case PlanKind::kPlaceholder:
         // Reading the "?" input: a foreign stream pays the per-row fetch
         // overhead; a materialised input is a plain local scan.
-        cost += e.rows * (node.placeholder_foreign ? profile_.fetch_row_cost
-                                                   : profile_.scan_row_cost);
+        cost += rows * (node.placeholder_foreign ? profile_.fetch_row_cost
+                                                 : profile_.scan_row_cost);
         break;
     }
   };
   walk(plan);
   return cost + profile_.startup_cost;
-}
-
-Result<ExplainResult> DatabaseServer::Explain(const std::string& sql) {
-  std::string text = Trim(sql);
-  if (StartsWith(ToUpper(text), "EXPLAIN")) {
-    text = Trim(text.substr(7));
-  }
-  XDB_ASSIGN_OR_RETURN(sql::SelectPtr stmt, sql::ParseSelect(text));
-  XDB_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(*stmt));
-  Estimator est;
-  PlanEstimate e = est.Estimate(*plan);
-  ExplainResult out;
-  out.cost_seconds = ModeledPlanCost(*plan);
-  out.est_rows = e.rows;
-  out.est_bytes = e.bytes();
-  return out;
 }
 
 }  // namespace xdb

@@ -15,14 +15,6 @@
 
 namespace xdb {
 
-/// \brief Output of the EXPLAIN interface, consumed by XDB's "consulting"
-/// cost probes (paper Section IV-B-2).
-struct ExplainResult {
-  double cost_seconds = 0;  // modelled local execution cost
-  double est_rows = 0;      // estimated result cardinality
-  double est_bytes = 0;     // estimated result volume
-};
-
 /// \brief A simulated autonomous DBMS.
 ///
 /// The server exposes exactly what the paper assumes of component DBMSes: a
@@ -82,9 +74,6 @@ class DatabaseServer : public RelationResolver {
   /// DROP ...).
   Status ExecuteDdl(const std::string& sql);
 
-  /// EXPLAIN: cost and cardinality estimate without executing.
-  Result<ExplainResult> Explain(const std::string& sql);
-
   /// Schema of a catalogued relation (metadata interface).
   Result<Schema> DescribeRelation(const std::string& relation);
 
@@ -118,7 +107,8 @@ class DatabaseServer : public RelationResolver {
   /// Plans a SELECT with this server's local optimizer.
   Result<PlanPtr> PlanQuery(const sql::SelectStmt& stmt);
 
-  /// Modelled local cost of executing a plan (used by Explain).
+  /// Modelled local cost of executing a plan: the EXPLAIN statement's cost
+  /// and, through DbmsConnector::ProbeCost, XDB's consultations.
   double ModeledPlanCost(const PlanNode& plan) const;
 
  private:
@@ -146,8 +136,8 @@ class DatabaseServer : public RelationResolver {
     Result<TablePtr> GetLocalTable(const std::string& table) override;
     Result<TablePtr> ForeignFetch(const std::string& server,
                                   const std::string& relation,
-                                  double est_rows = -1,
-                                  double est_bytes = -1) override;
+                                  double est_rows,
+                                  double est_bytes) override;
     ComputeTrace* trace() override;
     int exec_threads() const override;
     OperatorProfiler* profiler() override;

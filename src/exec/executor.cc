@@ -574,10 +574,7 @@ Result<TablePtr> ExecutePlanNode(const PlanNode& plan, ExecContext* ctx) {
         XDB_ASSIGN_OR_RETURN(
             TablePtr t,
             ctx->ForeignFetch(plan.foreign_server, plan.remote_relation,
-                              plan.est_rows,
-                              plan.est_rows >= 0
-                                  ? plan.est_rows * plan.est_width
-                                  : -1));
+                              plan.estimate->rows, plan.estimate->bytes()));
         trace->foreign_rows += static_cast<double>(t->num_rows());
         return t;
       }

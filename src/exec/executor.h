@@ -45,13 +45,12 @@ class ExecContext {
   virtual Result<TablePtr> GetLocalTable(const std::string& name) = 0;
 
   /// Fetches `SELECT * FROM relation` from a remote server (foreign scan).
-  /// `est_rows`/`est_bytes` carry the planner's stamped estimate for the
-  /// scan node driving the fetch (-1 when the plan was never stamped);
-  /// implementations attribute them to the transfer they record.
+  /// `est_rows`/`est_bytes` carry the planner's estimate for the scan node
+  /// driving the fetch; implementations attribute them to the transfer
+  /// they record.
   virtual Result<TablePtr> ForeignFetch(const std::string& server,
                                         const std::string& relation,
-                                        double est_rows = -1,
-                                        double est_bytes = -1) = 0;
+                                        double est_rows, double est_bytes) = 0;
 
   /// Row-flow counters for this execution.
   virtual ComputeTrace* trace() = 0;

@@ -10,19 +10,15 @@ namespace xdb {
 
 size_t OperatorProfiler::Enter(const PlanNode& node) {
   OperatorStats s;
-  // First line of the node's rendering = the node's own label.
-  std::string rendered = node.ToString();
-  size_t eol = rendered.find('\n');
-  s.label = eol == std::string::npos ? rendered : rendered.substr(0, eol);
+  s.label = node.Label();
   s.kind = node.kind;
   s.depth = static_cast<int>(open_.size());
   s.is_foreign = node.kind == PlanKind::kScan && node.is_foreign;
-  s.est_rows = node.est_rows;
-  if (node.est_rows >= 0) {
-    s.est_bytes = node.est_rows * node.est_width;
-    for (const auto& child : node.children) {
-      s.est_input_rows += std::max(0.0, child->est_rows);
-    }
+  s.predicate_class = node.predicate_class();
+  s.est_rows = node.estimate->rows;
+  s.est_bytes = node.estimate->bytes();
+  for (const auto& child : node.children) {
+    s.est_input_rows += child->estimate->rows;
   }
   records_.push_back(std::move(s));
   open_.push_back(records_.size() - 1);
@@ -78,8 +74,7 @@ double OperatorProfiler::ModelledSeconds(const OperatorStats& s,
 double OperatorProfiler::EstimatedSeconds(const OperatorStats& s,
                                           const EngineProfile& p,
                                           double scale_up) {
-  if (s.est_rows < 0) return 0;
-  // Re-run the ModelledSeconds weights over the stamped cardinalities. The
+  // Re-run the ModelledSeconds weights over the estimated cardinalities. The
   // join formula only consumes build + probe + output, so the combined
   // input estimate stands in for the per-side split.
   OperatorStats est = s;
@@ -121,15 +116,9 @@ std::vector<std::string> OperatorProfiler::Render(const EngineProfile& p,
                     ModelledSeconds(s, p, scale_up));
     }
     line += buf;
-    if (s.est_rows >= 0) {
-      // Estimation-accountability columns, present only when the executed
-      // plan carried stamps — unstamped profiles render byte-identically
-      // to the pre-accountability format.
-      std::snprintf(buf, sizeof(buf), "  [est=%.0f act=%.0f q-err=%.2f]",
-                    s.est_rows, s.output_rows,
-                    QError(s.est_rows, s.output_rows));
-      line += buf;
-    }
+    std::snprintf(buf, sizeof(buf), "  [est=%.0f act=%.0f q-err=%.2f]",
+                  s.est_rows, s.output_rows, QError(s.est_rows, s.output_rows));
+    line += buf;
     lines.push_back(std::move(line));
   }
   return lines;

@@ -176,7 +176,7 @@ std::string XdbReportToJson(const XdbReport& report) {
   w.BeginArray();
   for (const auto& ea : report.trace.estimates) {
     w.BeginObject();
-    w.Field("op", ea.op);
+    w.Field("op", EstimateOpName(ea.op));
     w.Field("server", ea.server);
     w.Field("detail", ea.detail);
     w.Field("est_input_rows", ea.est_input_rows);

@@ -155,7 +155,8 @@ class OperatorsProvider : public ProviderBase {
     for (const auto& q : log->SnapshotEntries()) {
       for (const auto& e : q.estimates) {
         t->AppendRow({Value::Int64(q.sequence), Value::String(q.label),
-                      Value::String(e.op), Value::String(e.server),
+                      Value::String(EstimateOpName(e.op)),
+                      Value::String(e.server),
                       Value::String(e.detail), Value::Double(e.est_rows),
                       Value::Double(e.act_rows), Value::Double(e.est_seconds),
                       Value::Double(e.act_seconds), Value::Double(e.est_bytes),
@@ -170,8 +171,7 @@ class OperatorsProvider : public ProviderBase {
 };
 
 /// `xdb_stat.transfers`: per-link aggregates over every transfer in the
-/// retained history, by link ("src->dst"). Estimate sums cover only stamped
-/// transfers (est_rows/est_bytes >= 0 in the record).
+/// retained history, by link ("src->dst").
 class TransfersProvider : public ProviderBase {
  public:
   explicit TransfersProvider(Federation* fed)
@@ -202,8 +202,8 @@ class TransfersProvider : public ProviderBase {
         a.rows += tr.rows;
         a.bytes += tr.bytes;
         a.raw_bytes += tr.raw_bytes;
-        if (tr.est_rows >= 0) a.est_rows += tr.est_rows;
-        if (tr.est_bytes >= 0) a.est_bytes += tr.est_bytes;
+        a.est_rows += tr.est_rows;
+        a.est_bytes += tr.est_bytes;
         if (tr.failed) ++a.failed;
       }
     }

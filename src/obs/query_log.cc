@@ -71,7 +71,7 @@ void QueryLog::Record(QueryStats stats) {
     // The predicate's shape ("o_orderkey = *"): recurring misestimates of
     // one predicate with different literals group in the drill-down.
     misestimate_events_.push_back(MisestimateEvent{
-        stats.sequence, stats.label, worst->op, worst->server,
+        stats.sequence, stats.label, EstimateOpName(worst->op), worst->server,
         CollapseDigitRuns(worst->detail), worst->est_rows, worst->act_rows,
         worst->q_error});
     while (misestimate_events_.size() > kMisestimateRingCapacity) {

@@ -74,7 +74,7 @@ struct QueryStats {
   std::vector<TransferRecord> transfer_log;
 
   /// Max operator/transfer q-error of this query (filled by Record from
-  /// `estimates`; 0 = nothing stamped was observed).
+  /// `estimates`; 0 = the ledger was empty).
   double max_q_error = 0;
 
   double total_seconds() const {

@@ -160,50 +160,45 @@ double Estimator::Selectivity(const Expr& predicate,
   }
 }
 
-PlanEstimate Estimator::Estimate(const PlanNode& node) const {
-  std::vector<PlanEstimate> inputs;
-  inputs.reserve(node.children.size());
-  for (const auto& child : node.children) inputs.push_back(Estimate(*child));
-  return EstimateWithInputs(node, inputs);
-}
-
-PlanEstimate Estimator::StampEstimates(PlanNode& node) const {
-  std::vector<PlanEstimate> inputs;
-  inputs.reserve(node.children.size());
-  for (const auto& child : node.children) {
-    inputs.push_back(StampEstimates(*child));
+PlanEstimate Estimator::EstimateScan(const TableStats& stats,
+                                     size_t num_fields) const {
+  PlanEstimate est;
+  est.rows = stats.row_count;
+  est.columns = stats.columns;
+  if (est.columns.size() != num_fields) {
+    est.columns.assign(num_fields, ColumnStats{});
   }
-  PlanEstimate est = EstimateWithInputs(node, inputs);
-  node.est_rows = est.rows;
-  node.est_width = est.row_width;
+  est.row_width = 0;
+  for (const auto& c : est.columns) est.row_width += c.avg_width;
+  if (est.row_width <= 0) est.row_width = 64.0;
   return est;
 }
 
-PlanEstimate Estimator::EstimateWithInputs(
-    const PlanNode& node, const std::vector<PlanEstimate>& inputs) const {
+PlanEstimate Estimator::EstimatePlaceholder(double rows,
+                                            size_t num_fields) const {
+  PlanEstimate est;
+  est.rows = rows;
+  est.columns.assign(num_fields, ColumnStats{});
+  est.row_width = 16.0 * static_cast<double>(num_fields);
+  return est;
+}
+
+PlanEstimate Estimator::StampEstimates(PlanNode& node) const {
+  for (const auto& child : node.children) StampEstimates(*child);
+  if (!node.children.empty()) {
+    node.estimate =
+        std::make_shared<const PlanEstimate>(EstimateWithInputs(node));
+  }
+  return *node.estimate;
+}
+
+PlanEstimate Estimator::EstimateWithInputs(const PlanNode& node) const {
   switch (node.kind) {
-    case PlanKind::kScan: {
-      PlanEstimate est;
-      est.rows = node.scan_stats.row_count;
-      est.columns = node.scan_stats.columns;
-      if (est.columns.size() != node.output_schema.num_fields()) {
-        est.columns.assign(node.output_schema.num_fields(), ColumnStats{});
-      }
-      est.row_width = 0;
-      for (const auto& c : est.columns) est.row_width += c.avg_width;
-      if (est.row_width <= 0) est.row_width = 64.0;
-      return est;
-    }
-    case PlanKind::kPlaceholder: {
-      PlanEstimate est;
-      est.rows = node.placeholder_rows;
-      est.columns.assign(node.output_schema.num_fields(), ColumnStats{});
-      est.row_width = 16.0 * static_cast<double>(
-                                 node.output_schema.num_fields());
-      return est;
-    }
+    case PlanKind::kScan:
+    case PlanKind::kPlaceholder:
+      return *node.estimate;
     case PlanKind::kFilter: {
-      const PlanEstimate& in = inputs[0];
+      const PlanEstimate& in = *node.children[0]->estimate;
       double sel = std::clamp(Selectivity(*node.predicate, in), 1e-6, 1.0);
       PlanEstimate out = in;
       out.rows = std::max(1.0, in.rows * sel);
@@ -212,7 +207,7 @@ PlanEstimate Estimator::EstimateWithInputs(
       return out;
     }
     case PlanKind::kProject: {
-      const PlanEstimate& in = inputs[0];
+      const PlanEstimate& in = *node.children[0]->estimate;
       PlanEstimate out;
       out.rows = in.rows;
       for (const auto& e : node.exprs) {
@@ -233,8 +228,8 @@ PlanEstimate Estimator::EstimateWithInputs(
       return out;
     }
     case PlanKind::kJoin: {
-      const PlanEstimate& l = inputs[0];
-      const PlanEstimate& r = inputs[1];
+      const PlanEstimate& l = *node.children[0]->estimate;
+      const PlanEstimate& r = *node.children[1]->estimate;
       double rows = l.rows * r.rows;
       for (size_t i = 0; i < node.left_keys.size(); ++i) {
         double nl = node.left_keys[i] >= 0 &&
@@ -266,7 +261,7 @@ PlanEstimate Estimator::EstimateWithInputs(
       return out;
     }
     case PlanKind::kAggregate: {
-      const PlanEstimate& in = inputs[0];
+      const PlanEstimate& in = *node.children[0]->estimate;
       double groups = 1.0;
       for (const auto& g : node.group_keys) {
         const Expr* col = StripToColumn(*g);
@@ -288,9 +283,9 @@ PlanEstimate Estimator::EstimateWithInputs(
       return out;
     }
     case PlanKind::kSort:
-      return inputs[0];
+      return *node.children[0]->estimate;
     case PlanKind::kLimit: {
-      PlanEstimate in = inputs[0];
+      PlanEstimate in = *node.children[0]->estimate;
       if (node.limit >= 0) {
         in.rows = std::min(in.rows, static_cast<double>(node.limit));
       }

@@ -4,40 +4,38 @@
 
 namespace xdb {
 
-/// \brief Estimated properties of a plan node's output.
-struct PlanEstimate {
-  double rows = 0;
-  double row_width = 64.0;  // average serialized bytes per row
-  std::vector<ColumnStats> columns;
-
-  double bytes() const { return rows * row_width; }
-};
-
 /// \brief Textbook System-R-style cardinality estimation.
 ///
 /// Selectivities: equality 1/ndv, range by min/max interpolation, LIKE 0.1,
 /// IN-list n/ndv, conjunction multiplies, disjunction adds (capped). Joins
 /// use |L||R| / max(ndv_l, ndv_r) per key pair. Aggregates cap at the
 /// product of group-key NDVs. Placeholders carry their producer's estimate.
+///
+/// The PlanNode::Make* factories call it once per node they build, so every
+/// node carries its estimate (PlanNode::estimate) and no consumer re-walks a
+/// subtree.
 class Estimator {
  public:
-  /// Estimates the whole subtree rooted at `node` (recursive, no caching;
-  /// plans here are small).
-  PlanEstimate Estimate(const PlanNode& node) const;
+  /// Estimate of a scan over a relation with `stats` and `num_fields`
+  /// output columns.
+  PlanEstimate EstimateScan(const TableStats& stats, size_t num_fields) const;
 
-  /// Stamps `est_rows`/`est_width` on every node of the subtree in a single
-  /// bottom-up pass (one estimate per node, not O(n^2) re-estimation) and
-  /// returns the root estimate. The stamps survive Clone() and the plan
-  /// cache, so a cached plan replays identical estimates.
+  /// Estimate of a placeholder standing for `rows` rows of another task.
+  PlanEstimate EstimatePlaceholder(double rows, size_t num_fields) const;
+
+  /// Estimate of `node` from its children's estimates, read in place. A
+  /// leaf has no inputs: its estimate is the one it was built with.
+  PlanEstimate EstimateWithInputs(const PlanNode& node) const;
+
+  /// Recomputes the estimate of every node of the subtree bottom-up from
+  /// its children's and returns the root's. Only a subtree whose children
+  /// were swapped after it was built needs this (the finalizer's cut
+  /// fragments); the replaced estimates are never mutated, so clones that
+  /// share them are unaffected.
   PlanEstimate StampEstimates(PlanNode& node) const;
 
   /// Selectivity of a bound predicate against input column stats.
   double Selectivity(const Expr& predicate, const PlanEstimate& input) const;
-
- private:
-  /// Estimate of one node given already-computed child estimates.
-  PlanEstimate EstimateWithInputs(
-      const PlanNode& node, const std::vector<PlanEstimate>& inputs) const;
 };
 
 }  // namespace xdb

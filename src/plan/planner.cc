@@ -392,8 +392,7 @@ Result<PlanPtr> Planner::Plan(const sql::SelectStmt& stmt) {
         out.col_map[i] = static_cast<int>(left_width) + right.col_map[i];
       }
     }
-    Estimator est;
-    out.cost = left.cost + right.cost + est.Estimate(*out.plan).rows;
+    out.cost = left.cost + right.cost + out.plan->estimate->rows;
     out.valid = true;
     return std::make_pair(out, !lk.empty());
   };

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/common/result.h"
-#include "src/plan/estimator.h"
 #include "src/plan/plan.h"
 #include "src/sql/ast.h"
 
@@ -62,7 +61,6 @@ class Planner {
  private:
   RelationResolver* resolver_;
   PlannerOptions options_;
-  Estimator estimator_;
 };
 
 /// \brief Splits a predicate tree into top-level AND conjuncts.

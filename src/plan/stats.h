@@ -25,6 +25,15 @@ struct TableStats {
   std::vector<ColumnStats> columns;  // aligned with the relation's schema
 };
 
+/// \brief Estimated properties of a plan node's output.
+struct PlanEstimate {
+  double rows = 0;
+  double row_width = 64.0;  // average serialized bytes per row
+  std::vector<ColumnStats> columns;
+
+  double bytes() const { return rows * row_width; }
+};
+
 /// \brief Scans a table once and computes exact min/max/ndv/width stats.
 ///
 /// This is the "ANALYZE" of the simulated DBMS: the statistics every

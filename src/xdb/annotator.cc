@@ -53,8 +53,8 @@ Status Annotator::AnnotateNode(PlanNode* node) {
 
 Status Annotator::AnnotateCrossJoin(PlanNode* node) {
   // Rule 4 with the pruned candidate set {A(o_l), A(o_r)}.
-  PlanEstimate left_est = estimator_.Estimate(*node->children[0]);
-  PlanEstimate right_est = estimator_.Estimate(*node->children[1]);
+  const PlanEstimate& left_est = *node->children[0]->estimate;
+  const PlanEstimate& right_est = *node->children[1]->estimate;
 
   struct Candidate {
     std::string placement;
@@ -88,7 +88,6 @@ Status Annotator::AnnotateCrossJoin(PlanNode* node) {
       return Status::CatalogError("no connector for DBMS '" + a + "'");
     }
     DbmsConnector* dc = it->second;
-    const PlanEstimate& local_est = local == 0 ? left_est : right_est;
     const PlanEstimate& remote_est = local == 0 ? right_est : left_est;
 
     std::vector<Movement> movements;
@@ -136,7 +135,6 @@ Status Annotator::AnnotateCrossJoin(PlanNode* node) {
         cost += remote_est.rows * (dc->profile().fetch_row_cost +
                                    dc->profile().materialize_row_cost);
       }
-      (void)local_est;
 
       if (best.cost < 0 || cost < best.cost) {
         best = {a, remote, x, cost};

@@ -7,7 +7,7 @@
 
 #include "src/connect/connector.h"
 #include "src/net/network.h"
-#include "src/plan/estimator.h"
+#include "src/plan/plan.h"
 
 namespace xdb {
 
@@ -92,7 +92,6 @@ class Annotator {
   const Network* network_;
   MovementPolicy policy_;
   const PlacementConstraints* constraints_ = nullptr;
-  Estimator estimator_;
   int consultations_ = 0;
 };
 

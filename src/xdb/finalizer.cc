@@ -6,8 +6,6 @@ namespace xdb {
 
 namespace {
 
-std::string AlgebraLabel(const PlanNode& node);
-
 /// Builds tasks bottom-up. `Cut` walks a subtree that belongs to the task
 /// annotated `current`, descending through same-annotation nodes and
 /// replacing each differently-annotated child subtree by a Placeholder plus
@@ -36,8 +34,11 @@ class TaskBuilder {
     task.expr = fragment;
     task.view_name = prefix_ + "_q" + std::to_string(query_id_) + "_t" +
                      std::to_string(task.id);
-    Estimator est;
-    task.est_rows = est.Estimate(*fragment).rows;
+    // The nodes above a placeholder were estimated over the producer's
+    // subtree; re-estimate the fragment over its placeholders.
+    task.est_rows = pending.empty()
+                        ? fragment->estimate->rows
+                        : Estimator().StampEstimates(*fragment).rows;
     for (auto& e : pending) {
       e.consumer = task.id;
       plan_.edges.push_back(e);
@@ -55,8 +56,7 @@ class TaskBuilder {
       // Annotation changes: the child subtree becomes its own task and the
       // child position becomes a "?" placeholder (a dummy input operator).
       Movement movement = child->edge_movement;
-      Estimator est;
-      double rows = est.Estimate(*child).rows;
+      double rows = child->estimate->rows;
       Schema schema = child->output_schema;
       std::vector<std::string> quals = child->output_qualifiers;
       XDB_ASSIGN_OR_RETURN(int producer_id, BuildTask(std::move(child)));
@@ -83,8 +83,6 @@ class TaskBuilder {
   DelegationPlan plan_;
 };
 
-std::string AlgebraLabel(const PlanNode& node) { return node.ToAlgebraString(); }
-
 }  // namespace
 
 Result<DelegationPlan> FinalizePlan(const PlanNode& annotated_plan,
@@ -103,7 +101,7 @@ std::string DelegationPlan::ToDot() const {
                     "  node [shape=box, fontname=\"monospace\"];\n";
   for (const auto& t : tasks) {
     out += "  t" + std::to_string(t.id) + " [label=\"" + t.server + ":\\n" +
-           AlgebraLabel(*t.expr) + "\\n~" +
+           t.expr->ToAlgebraString() + "\\n~" +
            std::to_string(static_cast<int64_t>(t.est_rows)) + " rows\"];\n";
   }
   for (const auto& e : edges) {
@@ -121,15 +119,15 @@ std::string DelegationPlan::ToString() const {
   std::string out;
   for (const auto& t : tasks) {
     out += "task " + std::to_string(t.id) + " [" + t.view_name + "] @" +
-           t.server + ": " + AlgebraLabel(*t.expr) + "  (~" +
+           t.server + ": " + t.expr->ToAlgebraString() + "  (~" +
            std::to_string(static_cast<int64_t>(t.est_rows)) + " rows)\n";
   }
   for (const auto& e : edges) {
     const DelegationTask* p = FindTask(e.producer);
     const DelegationTask* c = FindTask(e.consumer);
-    out += p->server + ":" + AlgebraLabel(*p->expr) + " --" +
+    out += p->server + ":" + p->expr->ToAlgebraString() + " --" +
            MovementToString(e.movement) + "--> " + c->server + ":" +
-           AlgebraLabel(*c->expr) + "  (~" +
+           c->expr->ToAlgebraString() + "  (~" +
            std::to_string(static_cast<int64_t>(e.est_rows)) + " rows)\n";
   }
   return out;

@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "src/common/thread_pool.h"
-#include "src/plan/estimator.h"
 #include "src/plan/planner.h"
 #include "src/sql/parser.h"
 #include "src/xdb/finalizer.h"
@@ -455,11 +454,6 @@ Status QueryPipeline::Prepare(Query* q) {
     // --- plan: logical optimization (pushdowns + join ordering). ---
     Planner planner(catalog_, o.planner);
     XDB_ASSIGN_OR_RETURN(q->plan, planner.Plan(*stmt));
-    // Stamp planning-time estimates once on the logical plan: every clone —
-    // failover rounds and the cached master copy alike — then carries the
-    // same annotations, so a plan-cache hit replays bit-identical
-    // estimates. Write-only metadata; no modelled cost.
-    Estimator().StampEstimates(*q->plan);
     size_t njoins = stmt->from.size() > 0 ? stmt->from.size() - 1 : 0;
     r.phases.lopt = o.lopt_base_cost +
                     o.lopt_per_join_cost * static_cast<double>(njoins);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "src/dbms/federation.h"
 #include "src/dbms/server.h"
 
@@ -207,11 +209,20 @@ TEST_F(VaccinationFixture, PaperExecutionCascade) {
 }
 
 TEST_F(VaccinationFixture, ExplainEstimates) {
-  auto r = cdb_->Explain("SELECT id FROM citizen WHERE age > 40");
+  auto r = cdb_->ExecuteSql("EXPLAIN SELECT id FROM citizen WHERE age > 40");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GT(r->cost_seconds, 0.0);
-  EXPECT_GT(r->est_rows, 0.0);
-  EXPECT_LT(r->est_rows, 100.0);  // the filter is selective
+  // One row per plan line, then "(cost=... s, rows=..., width=...)".
+  ASSERT_GE((*r)->num_rows(), 2u);
+  const std::string summary =
+      (*r)->row((*r)->num_rows() - 1)[0].string_value();
+  double cost = 0, rows = 0, width = 0;
+  ASSERT_EQ(std::sscanf(summary.c_str(), "(cost=%lf s, rows=%lf, width=%lf)",
+                        &cost, &rows, &width),
+            3)
+      << summary;
+  EXPECT_GT(cost, 0.0);
+  EXPECT_GT(rows, 0.0);
+  EXPECT_LT(rows, 100.0);  // the filter is selective
 }
 
 TEST_F(VaccinationFixture, DescribeAndEstimateForeign) {

@@ -157,9 +157,9 @@ TEST_F(FailureFixture, StatusContextPrepends) {
 }
 
 TEST_F(FailureFixture, ExplainOnBadSqlFails) {
-  auto r = d1_->Explain("EXPLAIN SELECT nosuch FROM t1");
+  auto r = d1_->ExecuteSql("EXPLAIN SELECT nosuch FROM t1");
   ASSERT_FALSE(r.ok());
-  auto r2 = d1_->Explain("not sql at all");
+  auto r2 = d1_->ExecuteSql("EXPLAIN not sql at all");
   ASSERT_FALSE(r2.ok());
 }
 

@@ -231,10 +231,10 @@ class Validator:
         b = self.require_number(obj, "bytes", path, minimum=0)
         raw = self.require_number(obj, "raw_bytes", path, minimum=0)
         self.require_number(obj, "messages", path, minimum=1)
-        # Planner estimates ride on the transfer record; -1 means the fetch
-        # was issued from an unstamped plan.
-        self.require_number(obj, "est_rows", path, minimum=-1)
-        self.require_number(obj, "est_bytes", path, minimum=-1)
+        # Planner estimates ride on the transfer record: every plan node
+        # carries one, so every fetch has one.
+        self.require_number(obj, "est_rows", path, minimum=0)
+        self.require_number(obj, "est_bytes", path, minimum=0)
         # Columnar-wire invariant: the wire charge never exceeds the
         # uncompressed row-format bytes of the same payload.
         if None not in (b, raw) and b > raw + 1e-6:

@@ -1,18 +1,11 @@
-// Microbenchmarks of the fault-injection framework: the injector's hook
-// cost (which rides on every DDL/fetch/transfer, so it must be near-free),
-// the zero-spec overhead of an attached injector on the full XDB pipeline,
-// and the wall-clock cost of a recovery (retry + rollback + replan) round.
-// Modelled recovery seconds are exported as counters — recovery is charged
-// to the timing model, never to real sleeps.
-//
-// With --json the wall-clock micro loops are skipped and a deterministic
-// degradation-scenario pass runs instead (the CI watchdog artifact): each
-// graceful-degradation path — retry heal, failover replan, partial result
-// on node-down, deadline-bounded partial, breaker avoidance — executes one
-// seeded, schedule-independent query whose modelled phases/bytes are
-// comparable against the committed bench/baseline/BENCH_faults.json.
-
-#include <benchmark/benchmark.h>
+// Deterministic degradation scenarios of the fault-injection framework:
+// each graceful-degradation path — retry heal, failover replan, partial
+// result on node-down, deadline-bounded partial, breaker avoidance —
+// executes one seeded, schedule-independent TPC-H Q3. Recovery is charged
+// to the timing model, never to real sleeps, so the modelled phases and
+// bytes are bit-identical run to run. With --json the runs are recorded
+// for comparison against the committed bench/baseline/BENCH_faults.json
+// (the CI watchdog artifact).
 
 #include "bench/bench_common.h"
 #include "src/dbms/health.h"
@@ -24,133 +17,8 @@ namespace {
 
 constexpr double kMicroSf = 0.002;
 
-void BM_InjectorHookNoSpecs(benchmark::State& state) {
-  FaultInjector inj(1);
-  for (auto _ : state) {
-    auto st = inj.OnOperation("db1", FaultOp::kFetch, "db2");
-    benchmark::DoNotOptimize(st);
-  }
-}
-BENCHMARK(BM_InjectorHookNoSpecs)->Name("fault_hook/no_specs");
-
-void BM_InjectorHookManySpecs(benchmark::State& state) {
-  // Worst case: every spec is examined on every non-matching call.
-  FaultInjector inj(1);
-  for (int i = 0; i < 32; ++i) {
-    FaultSpec spec;
-    spec.server = "other" + std::to_string(i);
-    spec.op = FaultOp::kDdl;
-    spec.kind = FaultKind::kTransientError;
-    inj.AddFault(spec);
-  }
-  for (auto _ : state) {
-    auto st = inj.OnOperation("db1", FaultOp::kFetch, "db2");
-    benchmark::DoNotOptimize(st);
-  }
-}
-BENCHMARK(BM_InjectorHookManySpecs)->Name("fault_hook/32_specs");
-
-void BM_PipelineNoInjector(benchmark::State& state) {
-  auto fed = tpch::BuildTpchFederation(kMicroSf, tpch::TD1());
-  XdbSystem xdb(fed.get());
-  const auto& sql = tpch::FindQuery("Q3")->sql;
-  for (auto _ : state) {
-    auto r = xdb.Query(sql);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_PipelineNoInjector)->Name("xdb_pipeline/no_injector")
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PipelineIdleInjector(benchmark::State& state) {
-  // Attached injector, zero specs: the fault-free hot path. Must match
-  // xdb_pipeline/no_injector — the hooks are null checks and counter-free.
-  auto fed = tpch::BuildTpchFederation(kMicroSf, tpch::TD1());
-  FaultInjector inj(1);
-  fed->SetFaultInjector(&inj);
-  XdbSystem xdb(fed.get());
-  const auto& sql = tpch::FindQuery("Q3")->sql;
-  for (auto _ : state) {
-    auto r = xdb.Query(sql);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_PipelineIdleInjector)->Name("xdb_pipeline/idle_injector")
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PipelineRetryRecovery(benchmark::State& state) {
-  // One transient DDL fault per query, healed by in-place retry.
-  auto fed = tpch::BuildTpchFederation(kMicroSf, tpch::TD1());
-  FaultInjector inj(1);
-  fed->SetFaultInjector(&inj);
-  XdbSystem xdb(fed.get());
-  const auto& sql = tpch::FindQuery("Q3")->sql;
-  double backoff = 0;
-  int64_t queries = 0;
-  for (auto _ : state) {
-    inj.Clear();
-    FaultSpec spec;
-    spec.op = FaultOp::kDdl;
-    spec.kind = FaultKind::kTransientError;
-    spec.first_attempt = 1;
-    spec.last_attempt = 1;
-    inj.AddFault(spec);
-    auto r = xdb.Query(sql);
-    if (r.ok()) backoff += r->trace.total_backoff_seconds;
-    ++queries;
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["modelled_backoff_s"] =
-      benchmark::Counter(backoff / static_cast<double>(queries));
-}
-BENCHMARK(BM_PipelineRetryRecovery)->Name("xdb_pipeline/retry_recovery")
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PipelineFailoverRecovery(benchmark::State& state) {
-  // The expensive path: a dead root forces rollback + re-annotation +
-  // redeployment on an alternate placement, every query.
-  auto fed = tpch::BuildTpchFederation(kMicroSf, tpch::TD1());
-  FaultInjector inj(1);
-  fed->SetFaultInjector(&inj);
-  XdbSystem xdb(fed.get());
-  const auto& sql = tpch::FindQuery("Q3")->sql;
-  auto probe = xdb.Query(sql);
-  if (!probe.ok()) {
-    state.SkipWithError(probe.status().ToString().c_str());
-    return;
-  }
-  FaultSpec spec;
-  spec.server = probe->xdb_query.server;
-  spec.op = FaultOp::kQuery;
-  spec.kind = FaultKind::kTransientError;
-  inj.AddFault(spec);
-  double wasted = 0;
-  int64_t queries = 0;
-  int64_t replans = 0;
-  for (auto _ : state) {
-    auto r = xdb.Query(sql);
-    if (r.ok()) {
-      wasted += r->trace.wasted_attempt_seconds;
-      replans += r->trace.replan_rounds;
-    }
-    ++queries;
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["modelled_wasted_s"] =
-      benchmark::Counter(wasted / static_cast<double>(queries));
-  state.counters["replan_rounds"] =
-      benchmark::Counter(static_cast<double>(replans) /
-                         static_cast<double>(queries));
-}
-BENCHMARK(BM_PipelineFailoverRecovery)->Name("xdb_pipeline/failover_recovery")
-    ->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Deterministic degradation scenarios (the --json CI watchdog artifact).
 // Every scenario builds a fresh seeded federation, drives exactly one
-// recovery path, and records the final (successful) query — so the JSON is
-// bit-identical run to run and regression-comparable.
-// ---------------------------------------------------------------------------
+// recovery path, and records the final (successful) query.
 
 void PrintScenarioRow(const char* label, const XdbReport& r) {
   std::printf("%-24s %10.3f %12.0f %10s %5.0f%% lost=%zu retries=%zu\n",
@@ -293,23 +161,10 @@ void RunDegradationScenarios() {
       "but zero retries.\n");
 }
 
+void Run() { RunDegradationScenarios(); }
+
 }  // namespace
 }  // namespace bench
 }  // namespace xdb
 
-int main(int argc, char** argv) {
-  xdb::bench::JsonReport::Instance().Init(argc, argv, "micro_faults");
-  if (xdb::bench::JsonReport::Instance().enabled()) {
-    // CI watchdog mode: only the deterministic scenario pass, whose JSON is
-    // comparable against bench/baseline/BENCH_faults.json.
-    xdb::bench::RunDegradationScenarios();
-    xdb::bench::JsonReport::Instance().Flush();
-    return 0;
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  xdb::bench::RunDegradationScenarios();
-  xdb::bench::JsonReport::Instance().Flush();
-  return 0;
-}
+XDB_BENCH_MAIN("micro_faults")

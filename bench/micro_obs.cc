@@ -1,20 +1,12 @@
-// Microbenchmarks of the observability layer: the cost of the profiling /
-// span / metrics hooks when DETACHED (which rides on every operator and
-// every fetch, so it must be near-free — one pointer compare), the cost
-// when attached, and the primitive costs (span open/close, counter
-// increment, histogram observe). The detached pipeline numbers should be
-// indistinguishable from a build without the hooks; the attached ones show
-// what EXPLAIN ANALYZE / --trace / --metrics actually pay.
-//
-// With --json the wall-clock micro loops are skipped and a deterministic
-// hook-parity pass runs instead (the CI watchdog artifact): the same query
-// executes with the observability stack fully detached and fully attached
-// (spans + metrics + query log + per-operator profilers), asserting that
-// modelled seconds and transfer bytes are bit-identical and recording both
-// reports — the attached one carries the full estimate-vs-actual ledger —
-// for comparison against bench/baseline artifacts.
-
-#include <benchmark/benchmark.h>
+// Deterministic passes over the observability layer. Hook parity: TPC-H
+// Q3 runs with the observability stack fully detached and then fully
+// attached (spans + metrics + query log + per-operator profilers); modelled
+// seconds and transfer bytes must be bit-identical, and both reports are
+// recorded — the attached one carries the full estimate-vs-actual ledger.
+// Introspection: after a short workload, each xdb_stat table's shape and a
+// SELECT over xdb_stat.queries that must render identically on consecutive
+// probes. With --json the runs are recorded for comparison against the
+// committed bench/baseline/BENCH_obs.json (the CI watchdog artifact).
 
 #include <chrono>
 #include <map>
@@ -34,154 +26,10 @@ namespace {
 constexpr double kMicroSf = 0.002;
 
 // --------------------------------------------------------------------------
-// Primitive hook costs
-// --------------------------------------------------------------------------
-
-void BM_SpanGuardDetached(benchmark::State& state) {
-  for (auto _ : state) {
-    SpanGuard guard(nullptr, "op");
-    benchmark::DoNotOptimize(guard.active());
-  }
-}
-BENCHMARK(BM_SpanGuardDetached)->Name("obs_hook/span_detached");
-
-void BM_SpanGuardAttached(benchmark::State& state) {
-  SpanRecorder rec;
-  for (auto _ : state) {
-    SpanGuard guard(&rec, "op");
-    benchmark::DoNotOptimize(guard.id());
-    if (rec.size() > (1u << 20)) {
-      state.PauseTiming();
-      rec.Clear();
-      state.ResumeTiming();
-    }
-  }
-}
-BENCHMARK(BM_SpanGuardAttached)->Name("obs_hook/span_attached");
-
-void BM_CounterIncrement(benchmark::State& state) {
-  Counter c;
-  for (auto _ : state) {
-    c.Increment();
-  }
-  benchmark::DoNotOptimize(c.Value());
-}
-BENCHMARK(BM_CounterIncrement)->Name("obs_hook/counter_increment");
-
-void BM_HistogramObserve(benchmark::State& state) {
-  Histogram h({1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9});
-  double v = 1;
-  for (auto _ : state) {
-    h.Observe(v);
-    v = v > 1e9 ? 1 : v * 3;
-  }
-  benchmark::DoNotOptimize(h.Count());
-}
-BENCHMARK(BM_HistogramObserve)->Name("obs_hook/histogram_observe");
-
-// --------------------------------------------------------------------------
-// Full pipeline: detached hooks must cost nothing measurable
-// --------------------------------------------------------------------------
-
-void BM_PipelineNoObservers(benchmark::State& state) {
-  auto fed = tpch::BuildTpchFederation(kMicroSf, tpch::TD1());
-  XdbSystem xdb(fed.get());
-  const auto& sql = tpch::FindQuery("Q3")->sql;
-  for (auto _ : state) {
-    auto r = xdb.Query(sql);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_PipelineNoObservers)->Name("xdb_pipeline/no_observers")
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PipelineSpansAttached(benchmark::State& state) {
-  auto fed = tpch::BuildTpchFederation(kMicroSf, tpch::TD1());
-  XdbSystem xdb(fed.get());
-  SpanRecorder rec;
-  fed->SetSpanRecorder(&rec);
-  const auto& sql = tpch::FindQuery("Q3")->sql;
-  for (auto _ : state) {
-    rec.Clear();
-    auto r = xdb.Query(sql);
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["spans_per_query"] =
-      benchmark::Counter(static_cast<double>(rec.size()));
-}
-BENCHMARK(BM_PipelineSpansAttached)->Name("xdb_pipeline/spans_attached")
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PipelineMetricsAttached(benchmark::State& state) {
-  auto fed = tpch::BuildTpchFederation(kMicroSf, tpch::TD1());
-  XdbSystem xdb(fed.get());
-  MetricsRegistry reg;
-  fed->SetMetricsRegistry(&reg);
-  const auto& sql = tpch::FindQuery("Q3")->sql;
-  for (auto _ : state) {
-    auto r = xdb.Query(sql);
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["fetches_counted"] = benchmark::Counter(
-      reg.GetCounter("xdb_federation_fetches_total")->Value());
-}
-BENCHMARK(BM_PipelineMetricsAttached)->Name("xdb_pipeline/metrics_attached")
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PipelineAccountability(benchmark::State& state) {
-  // QueryLog attached, profilers detached: every query banks its transfer
-  // estimate-vs-actual ledger and runs the misestimate check. The delta vs
-  // xdb_pipeline/no_observers is what the accountability plane costs on the
-  // plain (unprofiled) query path.
-  auto fed = tpch::BuildTpchFederation(kMicroSf, tpch::TD1());
-  XdbSystem xdb(fed.get());
-  QueryLog log(64);
-  fed->SetQueryLog(&log);
-  const auto& sql = tpch::FindQuery("Q3")->sql;
-  for (auto _ : state) {
-    auto r = xdb.Query(sql);
-    benchmark::DoNotOptimize(r);
-  }
-  auto entries = log.SnapshotEntries();
-  state.counters["ledger_records"] = benchmark::Counter(
-      entries.empty() ? 0.0
-                      : static_cast<double>(entries.back().estimates.size()));
-}
-BENCHMARK(BM_PipelineAccountability)
-    ->Name("xdb_pipeline/accountability_ledger")
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PipelineProfiled(benchmark::State& state) {
-  // Per-operator profiling on every component DBMS — the EXPLAIN ANALYZE
-  // hot path, without the rendering.
-  auto fed = tpch::BuildTpchFederation(kMicroSf, tpch::TD1());
-  XdbSystem xdb(fed.get());
-  std::map<std::string, OperatorProfiler> profilers;
-  for (const auto& name : fed->ServerNames()) {
-    fed->GetServer(name)->set_profiler(&profilers[name]);
-  }
-  const auto& sql = tpch::FindQuery("Q3")->sql;
-  for (auto _ : state) {
-    for (auto& [name, prof] : profilers) prof.Clear();
-    auto r = xdb.Query(sql);
-    benchmark::DoNotOptimize(r);
-  }
-  size_t operators = 0;
-  for (const auto& [name, prof] : profilers) {
-    operators += prof.records().size();
-  }
-  state.counters["operators_profiled"] =
-      benchmark::Counter(static_cast<double>(operators));
-}
-BENCHMARK(BM_PipelineProfiled)->Name("xdb_pipeline/operators_profiled")
-    ->Unit(benchmark::kMillisecond);
-
-// --------------------------------------------------------------------------
-// Deterministic hook-parity pass (the --json CI watchdog artifact). One
-// query runs with the observability stack detached and then fully attached;
-// modelled numbers must be bit-identical, and the attached run's estimate
-// ledger (per-operator + transfer est/act/q-error records) rides into the
-// JSON for baseline comparison.
+// Hook parity. One query runs with the observability stack detached and
+// then fully attached; modelled numbers must be bit-identical, and the
+// attached run's estimate ledger (per-operator + transfer est/act/q-error
+// records) rides into the JSON for baseline comparison.
 // --------------------------------------------------------------------------
 
 void RunHookParityScenarios() {
@@ -344,25 +192,13 @@ void RunIntrospectionScenarios() {
           ",\"probe_pinned\":" + (pinned ? "true" : "false") + "}");
 }
 
+void Run() {
+  RunHookParityScenarios();
+  RunIntrospectionScenarios();
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace xdb
 
-int main(int argc, char** argv) {
-  xdb::bench::JsonReport::Instance().Init(argc, argv, "micro_obs");
-  if (xdb::bench::JsonReport::Instance().enabled()) {
-    // CI watchdog mode: only the deterministic parity + introspection
-    // passes, whose JSON is comparable against a committed baseline.
-    xdb::bench::RunHookParityScenarios();
-    xdb::bench::RunIntrospectionScenarios();
-    xdb::bench::JsonReport::Instance().Flush();
-    return 0;
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  xdb::bench::RunHookParityScenarios();
-  xdb::bench::RunIntrospectionScenarios();
-  xdb::bench::JsonReport::Instance().Flush();
-  return 0;
-}
+XDB_BENCH_MAIN("micro_obs")

@@ -502,46 +502,6 @@ Value ColumnChunk::GetValue(size_t i) const {
   }
 }
 
-void ColumnChunk::AppendNormalizedKey(size_t i, std::string* out) const {
-  if (encoding_ == ColumnEncoding::kReference) {
-    base_->AppendNormalizedKey(BaseLane(i), out);
-    return;
-  }
-  if (encoding_ == ColumnEncoding::kBoxed) {
-    boxed_[i].AppendNormalizedKey(out);
-    return;
-  }
-  if (IsNull(i)) {
-    AppendNormalizedNullKey(out);
-    return;
-  }
-  switch (encoding_) {
-    case ColumnEncoding::kPlain:
-      if (type_ == TypeId::kDouble) {
-        AppendNormalizedDoubleKey(f64_[i], out);
-      } else if (type_ == TypeId::kString) {
-        AppendNormalizedStringKey(strs_[i], out);
-      } else {
-        AppendNormalizedInt64Key(i64_[i], out);
-      }
-      return;
-    case ColumnEncoding::kDictionary:
-      AppendNormalizedStringKey((*dict_)[codes_[i]], out);
-      return;
-    case ColumnEncoding::kRle:
-      AppendNormalizedInt64Key(run_values_[RunIndexFor(run_starts_, i)], out);
-      return;
-    case ColumnEncoding::kFor:
-      AppendNormalizedInt64Key(
-          static_cast<int64_t>(static_cast<uint64_t>(for_ref_) + codes_[i]),
-          out);
-      return;
-    case ColumnEncoding::kBoxed:
-    case ColumnEncoding::kReference:
-      return;
-  }
-}
-
 template <typename At>
 void ColumnChunk::DecodeKeyLanesAt(size_t n, const At& at,
                                    KeyLane* out) const {

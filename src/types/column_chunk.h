@@ -117,12 +117,8 @@ class ColumnChunk {
   /// Reconstructs lane `i` as the exact original Value.
   Value GetValue(size_t i) const;
 
-  /// Appends lane `i`'s normalized-key bytes — byte-identical to
-  /// Value::AppendNormalizedKey on the decoded value (shared primitives).
-  void AppendNormalizedKey(size_t i, std::string* out) const;
-
-  /// Decodes lanes [begin, end) into `out[0, end - begin)` under the class
-  /// rules of AppendNormalizedKey — the same KeyLane as Value::ToKeyLane on
+  /// Decodes lanes [begin, end) into `out[0, end - begin)` under the
+  /// normalized-key class rules — the same KeyLane as Value::ToKeyLane on
   /// the decoded value. RLE runs are walked with a cursor.
   void DecodeKeyLanes(size_t begin, size_t end, KeyLane* out) const;
   /// The bytes of non-NULL string lane `i`.

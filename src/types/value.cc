@@ -171,57 +171,33 @@ void AppendFixed64(std::string* out, uint64_t bits) {
 }  // namespace
 
 // Tag bytes keep different type classes (and NULL) from colliding; fixed or
-// length-prefixed payloads keep concatenated keys unambiguous. These free
-// functions are the single source of truth for the encoding — Value and the
-// columnar chunks both call them, so code-space key extraction cannot drift
-// from the row path.
-
-void AppendNormalizedNullKey(std::string* out) {
-  out->push_back('\1');  // NULL, regardless of declared type (Compare: all
-                         // NULLs are equal)
-}
-
-void AppendNormalizedStringKey(const std::string& s, std::string* out) {
-  out->push_back('s');
-  AppendFixed64(out, static_cast<uint64_t>(s.size()));
-  out->append(s);
-}
-
-void AppendNormalizedInt64Key(int64_t i, std::string* out) {
-  // One class for the int64-payload types: Compare treats bool, int64 and
-  // date as the same numeric domain.
-  out->push_back('i');
-  AppendFixed64(out, static_cast<uint64_t>(i));
-}
-
-void AppendNormalizedDoubleKey(double d, std::string* out) {
-  const KeyLane lane = DoubleKeyLane(d);
-  if (lane.cls == KeyClass::kInt) {
-    AppendNormalizedInt64Key(static_cast<int64_t>(lane.payload), out);
-    return;
+// length-prefixed payloads keep concatenated keys unambiguous. Bool, int64,
+// date and integral doubles share the `i` class, as Compare treats them as
+// one numeric domain; all NULLs are equal, whatever their declared type.
+void AppendNormalizedKey(const KeyLane& lane, std::string_view str,
+                         std::string* out) {
+  switch (lane.cls) {
+    case KeyClass::kNull:
+      out->push_back('\1');
+      return;
+    case KeyClass::kInt:
+      out->push_back('i');
+      AppendFixed64(out, lane.payload);
+      return;
+    case KeyClass::kDouble:
+      out->push_back('d');
+      AppendFixed64(out, lane.payload);
+      return;
+    case KeyClass::kString:
+      out->push_back('s');
+      AppendFixed64(out, static_cast<uint64_t>(str.size()));
+      out->append(str);
+      return;
   }
-  out->push_back('d');
-  AppendFixed64(out, lane.payload);
 }
 
 void Value::AppendNormalizedKey(std::string* out) const {
-  if (is_null_) {
-    AppendNormalizedNullKey(out);
-    return;
-  }
-  switch (type_) {
-    case TypeId::kString:
-      AppendNormalizedStringKey(str_, out);
-      return;
-    case TypeId::kDouble:
-      AppendNormalizedDoubleKey(f64_, out);
-      return;
-    case TypeId::kBool:
-    case TypeId::kInt64:
-    case TypeId::kDate:
-      AppendNormalizedInt64Key(i64_, out);
-      return;
-  }
+  xdb::AppendNormalizedKey(ToKeyLane(), str_, out);
 }
 
 std::string Value::ToSqlLiteral() const {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/common/result.h"
 
@@ -34,14 +35,6 @@ Result<int64_t> ParseDate(const std::string& s);
 /// \brief Formats days since epoch as "YYYY-MM-DD".
 std::string FormatDate(int64_t days);
 
-/// Normalized-key encoding primitives shared by Value::AppendNormalizedKey
-/// and the columnar chunk encoders (column_chunk.cc), so code-space key
-/// extraction is byte-identical to the row path by construction.
-void AppendNormalizedNullKey(std::string* out);
-void AppendNormalizedStringKey(const std::string& s, std::string* out);
-void AppendNormalizedInt64Key(int64_t i, std::string* out);
-void AppendNormalizedDoubleKey(double d, std::string* out);
-
 /// Class of a key lane under the normalized-key rules: bool, int64, date and
 /// integral doubles within ±2^53 share kInt; other doubles are kDouble.
 enum class KeyClass : uint8_t { kNull, kInt, kDouble, kString };
@@ -67,6 +60,14 @@ KeyLane StringKeyLane(const std::string& s);
 /// Hash of a lane's class and payload; a bijection of the payload within
 /// one class, so distinct ints (or doubles) never collide.
 uint64_t HashKeyLane(const KeyLane& lane);
+
+/// Appends the normalized-key bytes of one lane to `out`: NULL `\1`, the
+/// int class `i` + payload, other doubles `d` + bits, strings `s` + length
+/// + `str` (the string lane's bytes; unused for other classes). Equal bytes
+/// mean equal lanes, and concatenated keys stay unambiguous. Group keys
+/// and Value::AppendNormalizedKey both go through it.
+void AppendNormalizedKey(const KeyLane& lane, std::string_view str,
+                         std::string* out);
 
 /// \brief A single, nullable SQL value.
 ///
@@ -143,12 +144,10 @@ class Value {
   /// The value's key lane under the normalized-key class rules.
   KeyLane ToKeyLane() const;
 
-  /// Appends a normalized-key encoding of this value to `out`: byte strings
-  /// that are equal exactly when the values are equal under Compare()
-  /// (including NULL == NULL and cross-numeric equality like 1 == 1.0), and
-  /// unambiguous under concatenation, so a multi-column group key can be
-  /// serialized once into a flat std::string and hashed/compared as raw
-  /// bytes.
+  /// Appends the normalized-key bytes of this value's key lane to `out`:
+  /// byte strings that are equal exactly when the values are equal under
+  /// Compare() (including NULL == NULL and cross-numeric equality like
+  /// 1 == 1.0), and unambiguous under concatenation.
   void AppendNormalizedKey(std::string* out) const;
 
   /// SQL-literal rendering: strings quoted, dates as DATE '...', NULL as NULL.

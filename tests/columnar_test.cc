@@ -147,10 +147,17 @@ TEST(ColumnarRoundTrip, RandomizedBitIdentity) {
       EXPECT_TRUE(BitEqual(chunk.GetValue(i), rows[i][0]))
           << "lane " << i << ": " << chunk.GetValue(i).ToString() << " vs "
           << rows[i][0].ToString();
-      // Normalized-key round-trip: hash-join and group-by keys built from
-      // the chunk must equal keys built from the row value.
+      // Normalized-key round-trip: group keys built from the chunk's key
+      // lane (and its string bytes) must equal keys built from the row
+      // value.
+      KeyLane lane;
+      chunk.DecodeKeyLanes(i, i + 1, &lane);
       std::string from_chunk, from_row;
-      chunk.AppendNormalizedKey(i, &from_chunk);
+      AppendNormalizedKey(lane,
+                          lane.cls == KeyClass::kString
+                              ? std::string_view(chunk.StringAt(i))
+                              : std::string_view(),
+                          &from_chunk);
       rows[i][0].AppendNormalizedKey(&from_row);
       EXPECT_EQ(from_chunk, from_row) << "lane " << i;
     }

@@ -190,7 +190,7 @@ std::vector<int> NormalizedKeyIds(const Table& t, size_t width,
     bool null = false;
     for (size_t k = 0; k < width; ++k) {
       null = null || t.column(k).IsNull(i);
-      t.column(k).AppendNormalizedKey(i, &key);
+      t.column(k).GetValue(i).AppendNormalizedKey(&key);
     }
     out[i] = null ? -1
                   : ids->emplace(key, static_cast<int>(ids->size()))

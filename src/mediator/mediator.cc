@@ -66,13 +66,12 @@ MediatorSystem::MediatorSystem(Federation* fed, MediatorKind kind,
   spec.ddl_prefix = mediator_name_;
   spec.options.scale_up = options.scale_up;
   spec.options.middleware_node = mediator_name_;
-  spec.options.cleanup_after_query = options.cleanup_after_query;
-  spec.options.max_failover_alternates = 0;
   // Garlic and ScleraDB decompose by source first (maximal single-DBMS
   // subqueries); Presto's connectors cannot push joins down at all, so its
   // plan follows the global order.
   spec.options.planner.colocate_joins_first = kind != MediatorKind::kPresto;
   spec.consult_breakers = false;
+  spec.max_failover_alternates = 0;
   spec.bill_metadata_rtt = false;
   spec.ship_result = false;
   spec.localized_compute = true;

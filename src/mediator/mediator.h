@@ -34,7 +34,6 @@ struct MediatorOptions {
   int presto_workers = 4;
   /// Node name for the mediator; defaults to the kind's name.
   std::string mediator_node;
-  bool cleanup_after_query = true;
   /// Executor worker budget for the mediator node and every component DBMS:
   /// 0 = hardware concurrency, 1 = legacy serial (see XdbOptions).
   int exec_threads = 0;

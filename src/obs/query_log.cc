@@ -29,14 +29,7 @@ double QueryLog::drift_threshold() const {
 void QueryLog::Record(QueryStats stats) {
   std::lock_guard<std::mutex> lock(mu_);
   stats.sequence = ++total_recorded_;
-  if (stats.label.empty()) {
-    if (!next_label_.empty()) {
-      stats.label = std::move(next_label_);
-      next_label_.clear();
-    } else {
-      stats.label = "q" + std::to_string(stats.sequence);
-    }
-  }
+  if (stats.label.empty()) stats.label = "q" + std::to_string(stats.sequence);
   if (!stats.ok) ++total_failed_;
   lifetime_modelled_seconds_ += stats.total_seconds();
   lifetime_useful_bytes_ += stats.useful_bytes;
@@ -158,7 +151,6 @@ std::vector<std::string> QueryLog::QErrorDrilldown(
 void QueryLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
-  next_label_.clear();
   total_recorded_ = 0;
   total_failed_ = 0;
   lifetime_modelled_seconds_ = 0;

@@ -133,24 +133,9 @@ class QueryLog {
   void set_capacity(size_t capacity);
   size_t capacity() const { return capacity_; }
 
-  /// Banks one record (assigns `sequence`; fills `label` from the pending
-  /// hint or "q<sequence>"). Evicts the oldest record when over capacity.
+  /// Banks one record (assigns `sequence`; an empty `label` becomes
+  /// "q<sequence>"). Evicts the oldest record when over capacity.
   void Record(QueryStats stats);
-
-  /// Labels the *next* recorded query (e.g. "Q5" from a bench driver); the
-  /// hint is consumed by the next Record. Labels feed the `{query=...}`
-  /// metric dimension, so they should come from a bounded vocabulary
-  /// (DESIGN.md §8 cardinality rules). Racy under concurrent serving by
-  /// nature (two sessions' hints interleave) — sessions should label via
-  /// QueryContext::label instead.
-  void set_next_label(std::string label) {
-    std::lock_guard<std::mutex> lock(mu_);
-    next_label_ = std::move(label);
-  }
-  std::string next_label() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return next_label_;
-  }
 
   const std::deque<QueryStats>& entries() const { return entries_; }
   /// Thread-safe copy of the retained history.
@@ -229,7 +214,6 @@ class QueryLog {
   mutable std::mutex mu_;
   size_t capacity_;
   std::deque<QueryStats> entries_;
-  std::string next_label_;
   int64_t total_recorded_ = 0;
   int64_t total_failed_ = 0;
   double lifetime_modelled_seconds_ = 0;

@@ -237,7 +237,7 @@ Result<XdbReport> QueryPipeline::RunStages(const std::string& sql,
   RunTrace accum;
   Status final_status;
   bool deadline_hit = false;  // the deadline ended the failover loop
-  const int max_rounds = std::max(0, options().max_failover_alternates);
+  const int max_rounds = spec_.max_failover_alternates;
   for (int round = 0;; ++round) {
     const int64_t span_begin = q.spans != nullptr ? q.spans->next_id() : 0;
     SpanGuard round_span(q.spans, "round " + std::to_string(round));
@@ -297,7 +297,7 @@ Result<XdbReport> QueryPipeline::RunStages(const std::string& sql,
         }
         // --- cleanup. A failed DROP does not discard the computed answer:
         // the relations it left behind are listed on the trace instead.
-        if (options().cleanup_after_query && !engine.Cleanup().ok()) {
+        if (!engine.Cleanup().ok()) {
           q.report.trace.leaked_relations = engine.pending_cleanup();
         }
         q.report.wall_seconds = scope.elapsed_seconds();
@@ -662,13 +662,10 @@ void QueryPipeline::RecordQueryStats(const std::string& sql,
                    });
   if (qs.hot_operators.size() > 3) qs.hot_operators.resize(3);
 
-  // Label priority: explicit QueryContext label (sessions), then the
-  // log's pending next_label (single-threaded bench drivers; consumed by
-  // Record below since qs.label stays empty), then the catch-all bucket.
-  std::string label = label_hint;
-  if (label.empty() && qlog != nullptr) label = qlog->next_label();
-  if (label.empty()) label = "adhoc";
-  qs.label = label_hint;  // empty = let Record consume the pending hint
+  // The QueryContext label, else the catch-all bucket (the query log
+  // numbers an unlabelled record "q<sequence>").
+  const std::string label = label_hint.empty() ? "adhoc" : label_hint;
+  qs.label = label_hint;
   if (metrics != nullptr) {
     // `{query=...}` stays bounded: an explicit hint (bench drivers label
     // "Q5" etc.) or the single bucket "adhoc" — never raw SQL.

@@ -38,16 +38,6 @@ struct XdbOptions {
   int movement_policy = 0;  // 0 = cost-based, 1 = always implicit,
                             // 2 = always explicit (MovementPolicy order)
 
-  /// Drop all short-lived relations after each query (on by default; the
-  /// examples switch it off to show the deployed cascade).
-  bool cleanup_after_query = true;
-
-  /// Failover replanning: when deployment or execution fails with a
-  /// retryable status (node down, link dead), re-run annotation with the
-  /// implicated placement excluded and redeploy, up to this many alternate
-  /// rounds. 0 disables failover (first failure is final).
-  int max_failover_alternates = 2;
-
   /// Morsel-parallel worker budget applied to every component DBMS's
   /// executor: 0 = hardware concurrency (default), 1 = legacy serial path.
   /// Wall-clock only; modelled times and traces are identical either way.
@@ -78,8 +68,8 @@ struct QueryContext {
   /// collide even if query-id allocation ever changes.
   std::string ddl_prefix;
 
-  /// Query-log label (bounded cardinality; e.g. "Q5"). Empty = use the
-  /// log's pending next_label / "adhoc" fallback.
+  /// Query-log label (bounded cardinality; e.g. "Q5"). Empty = "adhoc" on
+  /// the metrics and "q<sequence>" in the query log.
   std::string label;
 
   /// Per-session span recorder override (nullptr = federation recorder).
@@ -151,9 +141,13 @@ struct SystemSpec {
   std::string system;      // QueryStats::system: "xdb", "garlic", ...
   std::string span_name;   // root span: "<span_name> <query id>"
   std::string ddl_prefix;  // used when QueryContext::ddl_prefix is empty
-  XdbOptions options;      // costs, scale-up, planner, failover, cleanup
+  XdbOptions options;      // costs, scale-up, planner, exec threads
 
   bool consult_breakers = true;    // route around open circuit breakers
+  // Failover replanning: after a retryable failure (node down, link dead),
+  // annotation re-runs with the implicated placement excluded, up to this
+  // many alternate rounds; 0 makes the first failure final.
+  int max_failover_alternates = 2;
   bool bill_metadata_rtt = true;   // prep pays a link RTT per table touched
   bool ship_result = true;         // final result hop root -> middleware node
   bool localized_compute = false;  // compute_only = mediator-local compute

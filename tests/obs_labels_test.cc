@@ -306,8 +306,9 @@ TEST(QueryLogTest, RecordsPerQueryStatsAndEvictsAtCapacity) {
   QueryLog log(2);
   fed.SetQueryLog(&log);
 
-  log.set_next_label("Q-join");
-  ASSERT_TRUE(xdb.Query(kJoinSql).ok());
+  QueryContext labelled;
+  labelled.label = "Q-join";
+  ASSERT_TRUE(xdb.Query(kJoinSql, labelled).ok());
   ASSERT_TRUE(xdb.Query(kJoinSql).ok());
   ASSERT_TRUE(xdb.Query(kJoinSql).ok());
 
@@ -316,7 +317,7 @@ TEST(QueryLogTest, RecordsPerQueryStatsAndEvictsAtCapacity) {
   ASSERT_EQ(log.entries().size(), 2u);  // capacity evicted the oldest
   const QueryStats& last = log.entries().back();
   EXPECT_EQ(last.sequence, 3);
-  EXPECT_EQ(last.label, "q3");  // hint was consumed by query 1
+  EXPECT_EQ(last.label, "q3");  // only query 1 carried a label
   EXPECT_EQ(last.system, "xdb");
   EXPECT_TRUE(last.ok);
   EXPECT_GT(last.total_seconds(), 0);

@@ -16,6 +16,9 @@
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/testing/fault_injector.h"
+#include "src/timing/timing_model.h"
+#include "src/tpch/distributions.h"
+#include "src/tpch/queries.h"
 #include "src/xdb/xdb.h"
 
 namespace xdb {
@@ -273,6 +276,49 @@ TEST(ExplainAnalyzeTest, ServerStatementAnnotatesThePlanWithActuals) {
   auto plain = d1->ExecuteSql("SELECT t1.b FROM t1 WHERE t1.a < 5");
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ((*plain)->num_rows(), 5u);
+}
+
+TEST(ExplainAnalyzeTest, TopNKeepsItsSortLine) {
+  Federation fed;
+  Populate(&fed);
+  auto r = fed.GetServer("d1")->ExecuteSql(
+      "EXPLAIN ANALYZE SELECT t1.a, t1.b FROM t1 ORDER BY t1.b DESC LIMIT 3");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::string all = Concatenate(**r);
+  EXPECT_NE(all.find("Limit(3)"), std::string::npos) << all;
+  // The fused Sort holds its logical output: all ten rows, in order.
+  EXPECT_NE(all.find("Sort  (in=10 rows=10 batches=1"), std::string::npos)
+      << all;
+}
+
+// The profile accounts for every row the timing model charges: on one
+// server holding every TPC-H table, each evaluation query's operator
+// records sum to its compute frame's modelled seconds (less the engine's
+// per-query startup). Q3 and Q10 end in a fused top-N Sort.
+TEST(OperatorProfilerTest, ModelledSecondsSumToTheChargedCompute) {
+  tpch::TableDistribution one_server;
+  for (const auto& [table, node] : tpch::TD1()) one_server[table] = "db1";
+  auto fed = tpch::BuildTpchFederation(0.002, one_server);
+  DatabaseServer* db1 = fed->GetServer("db1");
+  const TimingModel model(fed.get());
+  for (const auto& q : tpch::EvaluationQueries()) {
+    SCOPED_TRACE(q.id);
+    OperatorProfiler prof;
+    db1->set_profiler(&prof);
+    fed->BeginRun("db1");
+    Result<TablePtr> r = db1->ExecuteQuery(q.sql);
+    const RunTrace trace = fed->FinishRun();
+    db1->set_profiler(nullptr);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    double profiled = 0;
+    for (const auto& s : prof.records()) {
+      profiled += OperatorProfiler::ModelledSeconds(s, db1->profile());
+    }
+    const double charged =
+        model.ComputeSeconds(trace.root_compute, db1->profile(), false) -
+        db1->profile().startup_cost;
+    EXPECT_NEAR(profiled, charged, 1e-9 * charged);
+  }
 }
 
 TEST(ExplainAnalyzeTest, FederationLevelRendersPhasesAndPerServerTrees) {

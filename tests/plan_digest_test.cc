@@ -201,62 +201,62 @@ TEST(PlanDigest, Mediators) {
 // movement policy (cost-based, always implicit, always explicit), six
 // queries each; the mediators by TD, then Garlic, Presto, ScleraDB.
 const uint64_t kExpectedXdb[kXdbCases] = {
-    0xfb0a0a0626f763f9ull, 0x932c917867de2cbdull, 0x8e084481497175e2ull,
-    0x6b24405ae7763923ull, 0xdb7b1ca29d81387full, 0xf1b4c98a46c989b7ull,
-    0xfd06e9bafc1a831bull, 0x4aa8cca43906d0b1ull, 0x351e838f3342adb7ull,
-    0x14ff9a2bb2c09455ull, 0x3c06966cda1213b8ull, 0x1a1b41bd15748eebull,
-    0xf8be0387e31c4854ull, 0xa421726faf3bb9bfull, 0x2ba66f38daebf910ull,
-    0x71a874dc4e4d1276ull, 0x7fd851882f1efe81ull, 0x6197e424dfda7caeull,
-    0x26b94046cbd18e4dull, 0xb9935efca4888753ull, 0x49decbb8013e5c2full,
-    0x7498e34811ecb4a4ull, 0x827e80eef66ab2daull, 0x6e961ef51f5653f5ull,
-    0x43d9e4af20f19de7ull, 0x42b3f0dacece2f0full, 0x93efdcf1ad50c8b5ull,
-    0x61986d440bd839c6ull, 0x2df2f7b5ba281dbbull, 0xebb8f5c3422ce701ull,
-    0x9c2ffd280e9a007eull, 0xe7f74a3af53be7e9ull, 0x951dd005a1cb040dull,
-    0xa359bc56ad0898a4ull, 0xfa8351e25361ee7bull, 0xb585abe5e1aef470ull,
-    0x31923d67245bfb38ull, 0x02184762aec94af9ull, 0x688501d3dfbe458dull,
-    0xbdcae951419ad377ull, 0x14523c573099a0c3ull, 0x10b39196236a14f7ull,
-    0xd8196eb3bec05664ull, 0xdc8cbd2ab5244f71ull, 0xfb80609de77964e0ull,
-    0xc02509a25c51913eull, 0x345d20e7ff9399d6ull, 0x2b9dbfb8e5525651ull,
-    0x4d5d30989e369462ull, 0xe238fd02798704b5ull, 0x7ec5583445652492ull,
-    0xfb9ac0cf95e7cf7cull, 0xbb7b827eed8568b8ull, 0xc1a1b55acf6f162dull,
-    0x8a2ca730d9c7a7c0ull, 0xfd9945440d3cd97full, 0xff3a0ccecf8fdbfaull,
-    0xe15b6a34127f57cbull, 0x85bbda901df96415ull, 0x64a858a7d93d1e1dull,
-    0x1ec621cca9e2cb64ull, 0x0c3e92b1912f39b7ull, 0x3045d27635f5527full,
-    0xce26353cfb4e9470ull, 0x30c5dbe3cb156041ull, 0x70e2765a7f91f2e3ull,
-    0x435dd0f432dfa720ull, 0xf2044928cd44ee0bull, 0x9d34b88e56713b27ull,
-    0x32d13c8d6bf6e043ull, 0xe5a44e41922fd5a8ull, 0xfe204c65cf507dafull,
-    0x98b70aa7137678daull, 0xd292dbab43b4f4d8ull, 0xef43da22aee9a829ull,
-    0xc24205829670e540ull, 0xcca0524ab6763976ull, 0x783a9a0be7a3695dull,
-    0x536b9f0995eb6f86ull, 0x0e77ec00721027c0ull, 0x93436daf59f50c37ull,
-    0x3d3046be2de406cfull, 0x819cb91dd7abdd5full, 0x89a4c8200507487bull,
-    0xcd961ae05ebeb064ull, 0xda9f72bf7a04237eull, 0x8887e8b3345a048aull,
-    0x6fcf2694df665c49ull, 0x7d62c19e7f9f5c87ull, 0x6199aceb9ab4a781ull,
-    0xb6cab11f7d25f12aull, 0xe6d25fa23aca0830ull, 0x0cb228116ef3642dull,
-    0x33b16cc788a8fb42ull, 0xda8c0f2e802731a6ull, 0xad68450630c1e2dfull,
-    0x6e95d6e7ba10da1eull, 0xee02755e5ab44118ull, 0xd6c5e6c90a436e95ull,
-    0x0b7d019f3874042dull, 0x3eaf280c03aef221ull, 0x4bdf75160908a6b1ull,
-    0xd5acb20f193d6c46ull, 0x2a30e601dc73b552ull, 0x6f8c471c311f2310ull,
-    0x1e42b5858bd50942ull, 0xf05cbc9a91d34efbull, 0xba998b9d1a495153ull,
+    0x3b8c55e18f273902ull, 0x932c917867de2cbdull, 0x8e084481497175e2ull,
+    0x6b24405ae7763923ull, 0xdb7b1ca29d81387full, 0x7077c94f81645e88ull,
+    0xde89568b1fd73d6cull, 0x4aa8cca43906d0b1ull, 0x351e838f3342adb7ull,
+    0x14ff9a2bb2c09455ull, 0x3c06966cda1213b8ull, 0xff5fdd61b9615454ull,
+    0xd05535d1bfd87c82ull, 0xa421726faf3bb9bfull, 0x2ba66f38daebf910ull,
+    0x71a874dc4e4d1276ull, 0x7fd851882f1efe81ull, 0x9a6271ad73e0d8bbull,
+    0x02cdaff2613333d6ull, 0xb9935efca4888753ull, 0x49decbb8013e5c2full,
+    0x7498e34811ecb4a4ull, 0x827e80eef66ab2daull, 0x0aeeacf41c9301ceull,
+    0xf36a2bfc606df108ull, 0x42b3f0dacece2f0full, 0x93efdcf1ad50c8b5ull,
+    0x61986d440bd839c6ull, 0x2df2f7b5ba281dbbull, 0x785a9329e0fafb82ull,
+    0x087460d2d4c293b8ull, 0xe7f74a3af53be7e9ull, 0x951dd005a1cb040dull,
+    0xa359bc56ad0898a4ull, 0xfa8351e25361ee7bull, 0x8e580f85009da4d1ull,
+    0xc67cf9cc61f0152bull, 0x02184762aec94af9ull, 0x688501d3dfbe458dull,
+    0xbdcae951419ad377ull, 0x14523c573099a0c3ull, 0x6bfe9e10f973ca27ull,
+    0xf3044790ad1a3587ull, 0xdc8cbd2ab5244f71ull, 0xfb80609de77964e0ull,
+    0xc02509a25c51913eull, 0x345d20e7ff9399d6ull, 0xe93b965aadb6fcfdull,
+    0xdce68d2bda6d0f76ull, 0xe238fd02798704b5ull, 0x7ec5583445652492ull,
+    0xfb9ac0cf95e7cf7cull, 0xbb7b827eed8568b8ull, 0xbff7589221af5bb4ull,
+    0x7917941bf690b19bull, 0xfd9945440d3cd97full, 0xff3a0ccecf8fdbfaull,
+    0xe15b6a34127f57cbull, 0x85bbda901df96415ull, 0x10978be2a346f539ull,
+    0xd4e981a95319c38full, 0x0c3e92b1912f39b7ull, 0x3045d27635f5527full,
+    0xce26353cfb4e9470ull, 0x30c5dbe3cb156041ull, 0xdd1ea0c22fab4253ull,
+    0x4bf10c4ead35dcb0ull, 0xf2044928cd44ee0bull, 0x9d34b88e56713b27ull,
+    0x32d13c8d6bf6e043ull, 0xe5a44e41922fd5a8ull, 0x0612831fd70eade6ull,
+    0x1d391c2261fa4c55ull, 0xd292dbab43b4f4d8ull, 0xef43da22aee9a829ull,
+    0xc24205829670e540ull, 0xcca0524ab6763976ull, 0xaabe7c8aae0b6a93ull,
+    0x6b8ab92a8f19a941ull, 0x0e77ec00721027c0ull, 0x93436daf59f50c37ull,
+    0x3d3046be2de406cfull, 0x819cb91dd7abdd5full, 0x9b0867bbf9158fa9ull,
+    0x8e63f4c996fba90cull, 0xda9f72bf7a04237eull, 0x8887e8b3345a048aull,
+    0x6fcf2694df665c49ull, 0x7d62c19e7f9f5c87ull, 0xed307459472aafb6ull,
+    0x6ecea458ddcebcfdull, 0xe6d25fa23aca0830ull, 0x0cb228116ef3642dull,
+    0x33b16cc788a8fb42ull, 0xda8c0f2e802731a6ull, 0x752ad78e8555b645ull,
+    0x42fdfc7ec6ccda51ull, 0xee02755e5ab44118ull, 0xd6c5e6c90a436e95ull,
+    0x0b7d019f3874042dull, 0x3eaf280c03aef221ull, 0x61057a597dad3e4full,
+    0x67f0df49e7852ce2ull, 0x2a30e601dc73b552ull, 0x6f8c471c311f2310ull,
+    0x1e42b5858bd50942ull, 0xf05cbc9a91d34efbull, 0xde29de18875f80e8ull,
 };
 const uint64_t kExpectedMediators[kMediatorCases] = {
-    0x79ad21eee2e0a9c7ull, 0x2c0c296f14b2aa9dull, 0x96f8ba8dbec7ae5eull,
-    0xaf4387471f025fdaull, 0x0e5555753bdb54c4ull, 0xad1b0a112bc4d48dull,
-    0xc63d57fd5bae99a3ull, 0x8328a943d5dc8034ull, 0x0568a829f1d54ac4ull,
-    0xf45f5786deb0554dull, 0x7ce741b30cdf2adfull, 0xfcf2368c2021b4f2ull,
-    0xb331c11a03a55459ull, 0x73a000e596efc177ull, 0x83253a3822f7bef5ull,
-    0x59a22a23f19f01b5ull, 0x1797727351ae6f9cull, 0xfef6cc8c3d6b0307ull,
-    0x0c812886cc645085ull, 0x9363ca1ad72dd476ull, 0x4075cf1e70cddb77ull,
-    0xc24789b8ef491132ull, 0x77b1f30724c07c5aull, 0x275f08262306c73eull,
-    0x5594b092a346b53aull, 0x61d830389f2eb23aull, 0xfae4a8910fc8863cull,
-    0xf2469b13bb03c77aull, 0xb74649dbc92e683dull, 0x89f4771a6bb0fceaull,
-    0x4d92e3e7195fecedull, 0xc8bf7a404d02572full, 0x0fb9dfb94627e50aull,
-    0x14807c9dd2c10d82ull, 0x4ac8a10c50df8b6dull, 0xf68185b341d83191ull,
-    0x316adc5426f565c7ull, 0x403a9eb48ad5352cull, 0xe9e7b97033f76c91ull,
-    0x2c3c88c53b88e059ull, 0xe7fbb244adcc8f94ull, 0xa6e6e53ec5835858ull,
-    0x39f1f8d132a34444ull, 0x046f1bc2cae1a72eull, 0x3aa8f9a0260e2da6ull,
-    0x8f3b0ca163696497ull, 0xf41f82ef74ddb14full, 0x3debe9b21b6f1bc0ull,
-    0x6bcb47f86d16bf07ull, 0x0b3c7b6338b5cbc4ull, 0x174b2f0a3e6f7226ull,
-    0x4fce46ea9c3e4caeull, 0x06ca67bf8efd6dc9ull, 0x0aba62287c179abdull,
+    0x2e67bacab6db1ad1ull, 0x2c0c296f14b2aa9dull, 0x96f8ba8dbec7ae5eull,
+    0xaf4387471f025fdaull, 0x0e5555753bdb54c4ull, 0x9a683aa797c43dc4ull,
+    0xd19f83c17478ffb7ull, 0x8328a943d5dc8034ull, 0x0568a829f1d54ac4ull,
+    0xf45f5786deb0554dull, 0x7ce741b30cdf2adfull, 0x8e7d3c554c8a4ddfull,
+    0x879d62f27f8da8e6ull, 0x73a000e596efc177ull, 0x83253a3822f7bef5ull,
+    0x59a22a23f19f01b5ull, 0x1797727351ae6f9cull, 0xca746ae8a65d7897ull,
+    0xcc9bd99c83407482ull, 0x9363ca1ad72dd476ull, 0x4075cf1e70cddb77ull,
+    0xc24789b8ef491132ull, 0x77b1f30724c07c5aull, 0x43126aa72900b6d9ull,
+    0x1e3dbb6ef5083ce2ull, 0x61d830389f2eb23aull, 0xfae4a8910fc8863cull,
+    0xf2469b13bb03c77aull, 0xb74649dbc92e683dull, 0xd989cf2fb8a7ad17ull,
+    0x4ce946f6498e9137ull, 0xc8bf7a404d02572full, 0x0fb9dfb94627e50aull,
+    0x14807c9dd2c10d82ull, 0x4ac8a10c50df8b6dull, 0x545508693e262c97ull,
+    0xf05626802d1bc454ull, 0x403a9eb48ad5352cull, 0xe9e7b97033f76c91ull,
+    0x2c3c88c53b88e059ull, 0xe7fbb244adcc8f94ull, 0x34639d8573b2f5bbull,
+    0xc247f5f2c3292c94ull, 0x046f1bc2cae1a72eull, 0x3aa8f9a0260e2da6ull,
+    0x8f3b0ca163696497ull, 0xf41f82ef74ddb14full, 0x2848b429c9f69679ull,
+    0x80e763de9ac1d175ull, 0x0b3c7b6338b5cbc4ull, 0x174b2f0a3e6f7226ull,
+    0x4fce46ea9c3e4caeull, 0x06ca67bf8efd6dc9ull, 0xa45c3eb4e5644f23ull,
 };
 
 }  // namespace

@@ -16,6 +16,12 @@ uint64_t EngineProfile::Fingerprint() const {
   return h;
 }
 
+double EngineProfile::ParallelSeconds(double serial) const {
+  if (parallelism <= 1) return serial;
+  return serial * (1.0 - parallel_fraction) +
+         serial * parallel_fraction / static_cast<double>(parallelism);
+}
+
 EngineProfile EngineProfile::Postgres() {
   EngineProfile p;
   p.vendor = "postgres";

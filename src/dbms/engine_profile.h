@@ -39,6 +39,12 @@ struct EngineProfile {
   // Fraction of compute that benefits from parallelism (Amdahl).
   double parallel_fraction = 0.7;
 
+  /// Seconds that `serial` seconds of compute take on this engine: Amdahl
+  /// scaling of the parallel fraction over `parallelism` workers, and
+  /// `serial` itself on one worker. The timing model and the operator
+  /// profiler both charge compute through it.
+  double ParallelSeconds(double serial) const;
+
   /// Hash of every field above — extend it with each new field. The plan
   /// cache keys on it: profiles that cost any plan differently must never
   /// share an annotated plan.

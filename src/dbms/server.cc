@@ -154,43 +154,7 @@ Result<PlanPtr> DatabaseServer::Resolve(const std::string& db,
       return planner.Plan(*entry.view_def);
     }
     case EntryKind::kForeign: {
-      if (!entry.schema_cached) {
-        DatabaseServer* remote = fed_->GetServer(entry.server);
-        if (remote == nullptr) {
-          return Status::NetworkError("unknown foreign server: " +
-                                      entry.server);
-        }
-        fed_->RecordControlMessage(name_, entry.server);
-        XDB_ASSIGN_OR_RETURN(Schema remote_schema,
-                             remote->DescribeRelation(
-                                 entry.remote_relation));
-        // A column list in CREATE FOREIGN TABLE renames the columns.
-        if (!entry.cached_schema.fields().empty()) {
-          if (entry.cached_schema.num_fields() !=
-              remote_schema.num_fields()) {
-            return Status::CatalogError(
-                "foreign table '" + key + "' declares " +
-                std::to_string(entry.cached_schema.num_fields()) +
-                " columns but remote relation has " +
-                std::to_string(remote_schema.num_fields()));
-          }
-          Schema renamed;
-          for (size_t i = 0; i < remote_schema.num_fields(); ++i) {
-            renamed.AddField({entry.cached_schema.field(i).name,
-                              remote_schema.field(i).type});
-          }
-          entry.cached_schema = std::move(renamed);
-        } else {
-          entry.cached_schema = std::move(remote_schema);
-        }
-        fed_->RecordControlMessage(name_, entry.server);
-        XDB_ASSIGN_OR_RETURN(double rows, remote->EstimateRelationRows(
-                                              entry.remote_relation));
-        entry.stats.row_count = rows;
-        entry.stats.columns.assign(entry.cached_schema.num_fields(),
-                                   ColumnStats{});
-        entry.schema_cached = true;
-      }
+      XDB_RETURN_NOT_OK(LoadForeign(key, &entry));
       PlanPtr scan = PlanNode::MakeScan(name_, key, key,
                                         entry.cached_schema, entry.stats);
       scan->is_foreign = true;
@@ -200,6 +164,46 @@ Result<PlanPtr> DatabaseServer::Resolve(const std::string& db,
     }
   }
   return Status::Internal("unreachable");
+}
+
+Status DatabaseServer::LoadForeign(const std::string& key,
+                                   CatalogEntry* entry) {
+  // The entry's own mutex, not catalog_mu_: the remote's
+  // EstimateRelationRows may plan a view that resolves a foreign table
+  // pointing back at this server.
+  std::lock_guard<std::mutex> lock(*entry->load_mu);
+  if (entry->loaded) return Status::OK();
+  DatabaseServer* remote = fed_->GetServer(entry->server);
+  if (remote == nullptr) {
+    return Status::NetworkError("unknown foreign server: " + entry->server);
+  }
+  fed_->RecordControlMessage(name_, entry->server);
+  XDB_ASSIGN_OR_RETURN(Schema schema,
+                       remote->DescribeRelation(entry->remote_relation));
+  // A column list in CREATE FOREIGN TABLE renames the columns.
+  const Schema& declared = entry->cached_schema;
+  if (!declared.fields().empty()) {
+    if (declared.num_fields() != schema.num_fields()) {
+      return Status::CatalogError(
+          "foreign table '" + key + "' declares " +
+          std::to_string(declared.num_fields()) +
+          " columns but remote relation has " +
+          std::to_string(schema.num_fields()));
+    }
+    Schema renamed;
+    for (size_t i = 0; i < schema.num_fields(); ++i) {
+      renamed.AddField({declared.field(i).name, schema.field(i).type});
+    }
+    schema = std::move(renamed);
+  }
+  fed_->RecordControlMessage(name_, entry->server);
+  XDB_ASSIGN_OR_RETURN(double rows,
+                       remote->EstimateRelationRows(entry->remote_relation));
+  entry->stats.row_count = rows;
+  entry->stats.columns.assign(schema.num_fields(), ColumnStats{});
+  entry->cached_schema = std::move(schema);
+  entry->loaded = true;
+  return Status::OK();
 }
 
 Result<PlanPtr> DatabaseServer::PlanQuery(const sql::SelectStmt& stmt) {
@@ -343,15 +347,16 @@ Status DatabaseServer::ExecuteParsed(const sql::Statement& stmt,
       if (FindEntry(key) != nullptr) {
         return Status::CatalogError("relation already exists: " + key);
       }
-      // Validate now so delegation errors surface at DDL time, as they
-      // would on a real DBMS. Planning resolves other relations, so it runs
-      // outside the catalog lock; the insert re-checks existence.
-      XDB_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(*stmt.select));
+      // Bind now, as PostgreSQL's parse analysis does, so delegation errors
+      // surface at DDL time; the view is planned where it is read. Binding
+      // resolves other relations, so it runs outside the catalog lock; the
+      // insert re-checks existence.
+      Planner planner(this);
+      XDB_ASSIGN_OR_RETURN(Schema schema, planner.Bind(*stmt.select));
       CatalogEntry entry;
       entry.kind = EntryKind::kView;
       entry.view_def = stmt.select;
-      entry.cached_schema = plan->output_schema;
-      entry.schema_cached = true;
+      entry.cached_schema = std::move(schema);
       std::lock_guard<std::mutex> lock(catalog_mu_);
       if (catalog_.count(key)) {
         return Status::CatalogError("relation already exists: " + key);
@@ -371,7 +376,7 @@ Status DatabaseServer::ExecuteParsed(const sql::Statement& stmt,
       for (const auto& c : stmt.column_names) {
         entry.cached_schema.AddField({ToLower(c), TypeId::kInt64});
       }
-      entry.schema_cached = false;  // resolved lazily on first use
+      entry.load_mu = std::make_unique<std::mutex>();  // loaded on use
       std::lock_guard<std::mutex> lock(catalog_mu_);
       if (catalog_.count(key)) {
         return Status::CatalogError("relation already exists: " + key);
@@ -446,9 +451,10 @@ Result<Schema> DatabaseServer::DescribeRelation(const std::string& relation) {
       entry.kind == EntryKind::kMaterialized) {
     return entry.table->schema();
   }
-  if (entry.schema_cached) return entry.cached_schema;
-  XDB_ASSIGN_OR_RETURN(PlanPtr plan, Resolve("", key));
-  return plan->output_schema;
+  if (entry.kind == EntryKind::kForeign) {
+    XDB_RETURN_NOT_OK(LoadForeign(key, &entry));
+  }
+  return entry.cached_schema;
 }
 
 Result<double> DatabaseServer::EstimateRelationRows(

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -27,8 +28,8 @@ namespace xdb {
 /// mutex-guarded so concurrent sessions may deploy and drop their own
 /// namespaced relations on one server. Entry *contents* are accessed
 /// unlocked: base/materialized/view entries are immutable once created, and
-/// a foreign entry's lazily-resolved schema is only ever touched by the one
-/// query that deployed it (transient relations are per-query named).
+/// a foreign entry's schema and row estimate are loaded once, on first use,
+/// under the entry's own mutex (LoadForeign), and immutable after that.
 class DatabaseServer : public RelationResolver {
  public:
   DatabaseServer(std::string name, EngineProfile profile, Federation* fed);
@@ -121,8 +122,9 @@ class DatabaseServer : public RelationResolver {
     sql::SelectPtr view_def; // kView
     std::string server;           // kForeign: remote DBMS
     std::string remote_relation;  // kForeign
-    Schema cached_schema;    // kView / kForeign (lazily filled)
-    bool schema_cached = false;
+    Schema cached_schema;    // kView / kForeign (filled by LoadForeign)
+    bool loaded = false;     // kForeign: cached_schema and stats are set
+    std::unique_ptr<std::mutex> load_mu;  // kForeign: guards the load
   };
 
   /// ExecContext wired to this server + the federation's trace stack.
@@ -149,6 +151,11 @@ class DatabaseServer : public RelationResolver {
 
   Result<TablePtr> ExecutePlanHere(const PlanNode& plan,
                                    bool materialized = false);
+  /// Fills a foreign entry's schema and row estimate from its remote
+  /// relation on first use: two control messages, the remote's
+  /// DescribeRelation and EstimateRelationRows. Concurrent callers wait for
+  /// one load; a failed load leaves the entry unloaded.
+  Status LoadForeign(const std::string& key, CatalogEntry* entry);
   Status ExecuteParsed(const sql::Statement& stmt, TablePtr* out);
 
   /// Node-stable pointer to the entry for `key` (already lowercased), or

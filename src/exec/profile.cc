@@ -46,8 +46,9 @@ double OperatorProfiler::ModelledSeconds(const OperatorStats& s,
   double rows = 0;
   switch (s.kind) {
     case PlanKind::kScan:
-      return s.output_rows * scale_up *
-             (s.is_foreign ? p.fetch_row_cost : p.scan_row_cost);
+      // Ingesting foreign rows is serial, as in the timing model.
+      if (s.is_foreign) return s.output_rows * scale_up * p.fetch_row_cost;
+      return p.ParallelSeconds(s.output_rows * scale_up * p.scan_row_cost);
     case PlanKind::kFilter:
       rows = s.input_rows * p.filter_row_cost;
       break;
@@ -68,7 +69,7 @@ double OperatorProfiler::ModelledSeconds(const OperatorStats& s,
       rows = 0;
       break;
   }
-  return rows * scale_up;
+  return p.ParallelSeconds(rows * scale_up);
 }
 
 double OperatorProfiler::EstimatedSeconds(const OperatorStats& s,

@@ -66,8 +66,8 @@ class OperatorProfiler {
   void Clear();
 
   /// Modelled seconds of one operator under an engine profile (the same
-  /// per-row weights the timing model charges — DESIGN.md §5), scaled by
-  /// `scale_up`.
+  /// per-row weights and parallelism the timing model charges — DESIGN.md
+  /// §5), scaled by `scale_up`.
   static double ModelledSeconds(const OperatorStats& s,
                                 const EngineProfile& profile,
                                 double scale_up = 1.0);

@@ -35,6 +35,10 @@ PlanPtr Estimated(PlanPtr n) {
 
 }  // namespace
 
+void AddOutputFields(const std::vector<ExprPtr>& exprs, Schema* schema) {
+  for (const auto& e : exprs) schema->AddField({e->OutputName(), InferType(e)});
+}
+
 PlanPtr PlanNode::MakeScan(std::string db, std::string table,
                            std::string alias, Schema schema,
                            const TableStats& stats) {
@@ -65,9 +69,9 @@ PlanPtr PlanNode::MakeProject(PlanPtr child, std::vector<ExprPtr> exprs) {
   auto n = std::make_shared<PlanNode>();
   n->kind = PlanKind::kProject;
   Schema schema;
+  AddOutputFields(exprs, &schema);
   std::vector<std::string> quals;
   for (const auto& e : exprs) {
-    schema.AddField({e->OutputName(), InferType(e)});
     // A pass-through column keeps its qualifier so that later binding by
     // alias (e.g. in residual join predicates) still works.
     if (e->kind == ExprKind::kColumnRef && e->alias.empty() &&
@@ -108,18 +112,9 @@ PlanPtr PlanNode::MakeAggregate(PlanPtr child,
                                 std::vector<ExprPtr> aggregates) {
   auto n = std::make_shared<PlanNode>();
   n->kind = PlanKind::kAggregate;
-  Schema schema;
-  std::vector<std::string> quals;
-  for (const auto& g : group_keys) {
-    schema.AddField({g->OutputName(), InferType(g)});
-    quals.push_back("");
-  }
-  for (const auto& a : aggregates) {
-    schema.AddField({a->OutputName(), InferType(a)});
-    quals.push_back("");
-  }
-  n->output_schema = std::move(schema);
-  n->output_qualifiers = std::move(quals);
+  AddOutputFields(group_keys, &n->output_schema);
+  AddOutputFields(aggregates, &n->output_schema);
+  n->output_qualifiers.assign(n->output_schema.num_fields(), "");
   n->children = {std::move(child)};
   n->group_keys = std::move(group_keys);
   n->aggregates = std::move(aggregates);

@@ -141,4 +141,9 @@ struct PlanNode {
   std::vector<std::string> ReferencedDatabases() const;
 };
 
+/// \brief Appends the output fields of expressions a Project or Aggregate
+/// computes: each one's OutputName and inferred type. The binder derives a
+/// query's output schema through it without building the nodes.
+void AddOutputFields(const std::vector<ExprPtr>& exprs, Schema* schema);
+
 }  // namespace xdb

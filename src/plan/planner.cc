@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "src/common/str_util.h"
@@ -45,18 +46,16 @@ ExprPtr RewrittenClone(const ExprPtr& e, const std::vector<int>& mapping) {
 }
 
 /// Replaces subtrees of `e` that structurally equal one of `targets[i]` by a
-/// bound reference to output column `target_index(i)`. Used to rewrite
-/// post-aggregation select expressions over the Aggregate node's output.
+/// bound reference to output column i, the column an Aggregate node over
+/// the targets outputs for it. Used to rewrite post-aggregation select
+/// expressions over the Aggregate node's output.
 ExprPtr ReplaceMatching(const ExprPtr& e, const std::vector<ExprPtr>& targets,
-                        const std::vector<int>& target_indices,
-                        const Schema& out_schema,
                         std::set<const Expr*>* replacements) {
   for (size_t i = 0; i < targets.size(); ++i) {
     if (e->Equals(*targets[i])) {
-      size_t idx = static_cast<size_t>(target_indices[i]);
-      ExprPtr col = Expr::BoundColumn(target_indices[i],
-                                      out_schema.field(idx).type,
-                                      out_schema.field(idx).name);
+      ExprPtr col = Expr::BoundColumn(static_cast<int>(i),
+                                      InferType(targets[i]),
+                                      targets[i]->OutputName());
       col->alias = e->alias;
       replacements->insert(col.get());
       return col;
@@ -64,8 +63,7 @@ ExprPtr ReplaceMatching(const ExprPtr& e, const std::vector<ExprPtr>& targets,
   }
   ExprPtr c = std::make_shared<Expr>(*e);
   for (auto& child : c->children) {
-    child = ReplaceMatching(child, targets, target_indices, out_schema,
-                            replacements);
+    child = ReplaceMatching(child, targets, replacements);
   }
   return c;
 }
@@ -94,12 +92,40 @@ void CollectAggregates(const ExprPtr& e, std::vector<ExprPtr>* out) {
   for (const auto& c : e->children) CollectAggregates(c, out);
 }
 
+struct BoundSelect;
+
 struct RelInfo {
   PlanPtr plan;             // resolved (and later filtered/pruned) subtree
+  std::unique_ptr<BoundSelect> derived;  // a derived table, until planned
   std::string alias;        // FROM alias
   size_t offset = 0;        // first column in the combined global schema
   size_t width = 0;         // column count in the combined global schema
   std::vector<int> kept;    // global indices kept after pruning (sorted)
+};
+
+/// A SELECT after binding: its FROM relations resolved, its expressions
+/// bound against the combined (global) schema of those relations, grouping
+/// checked, ORDER BY resolved, and its output schema. Planner::Bind reads
+/// the schema; Plan turns the rest into plan nodes.
+struct BoundSelect {
+  bool select_star = false;
+  int64_t limit = -1;
+  std::vector<RelInfo> rels;
+  Schema combined;
+  std::vector<std::string> combined_quals;
+  ExprPtr where;
+  std::vector<ExprPtr> select_exprs;
+  std::vector<ExprPtr> group_keys;
+  ExprPtr having;
+  bool has_aggregates = false;
+  // With aggregation: the aggregate calls, and HAVING and the select list
+  // rewritten over the aggregate's output (group keys, then calls).
+  std::vector<ExprPtr> agg_calls;
+  ExprPtr having_over_agg;
+  std::vector<ExprPtr> select_over_agg;
+  std::vector<ExprPtr> order_exprs;  // ORDER BY items that are not aliases
+  std::vector<std::pair<int, bool>> sort_keys;
+  Schema output_schema;
 };
 
 /// Which relations does a bound (global-index) expression touch?
@@ -124,57 +150,205 @@ struct JoinConjunct {
   size_t rel_a = 0, rel_b = 0;  // relations of left/right side
 };
 
-}  // namespace
-
-Result<PlanPtr> Planner::Plan(const sql::SelectStmt& stmt) {
+/// The front half of Plan: everything that can fail, and nothing that
+/// depends on the planner options or the join order.
+Result<BoundSelect> BindSelect(const sql::SelectStmt& stmt,
+                               RelationResolver* resolver) {
   if (stmt.from.empty()) {
     return Status::BindError("query has no FROM clause");
   }
   if (stmt.from.size() > 20) {
     return Status::NotImplemented("more than 20 relations in FROM");
   }
+  BoundSelect q;
+  q.select_star = stmt.select_star;
+  q.limit = stmt.limit;
 
   // --- 1. Resolve relations; build the combined (global) schema. ---
-  std::vector<RelInfo> rels;
-  Schema combined;
-  std::vector<std::string> combined_quals;
   for (const auto& ref : stmt.from) {
-    PlanPtr sub;
-    if (ref.subquery) {
-      // Derived table: plan the subquery with the same resolver/options.
-      Planner subplanner(resolver_, options_);
-      XDB_ASSIGN_OR_RETURN(sub, subplanner.Plan(*ref.subquery));
-    } else {
-      XDB_ASSIGN_OR_RETURN(sub, resolver_->Resolve(ref.db, ref.table));
-    }
     RelInfo info;
     info.alias = ref.EffectiveAlias();
-    // Re-qualify the subtree's outputs under the FROM alias.
-    sub->output_qualifiers.assign(sub->output_schema.num_fields(),
-                                  info.alias);
-    info.offset = combined.num_fields();
-    info.width = sub->output_schema.num_fields();
-    for (const auto& f : sub->output_schema.fields()) {
-      combined.AddField(f);
-      combined_quals.push_back(info.alias);
+    const Schema* schema = nullptr;
+    if (ref.subquery) {
+      // Derived table: bound now, planned with the query that reads it.
+      XDB_ASSIGN_OR_RETURN(BoundSelect sub,
+                           BindSelect(*ref.subquery, resolver));
+      info.derived = std::make_unique<BoundSelect>(std::move(sub));
+      schema = &info.derived->output_schema;
+    } else {
+      XDB_ASSIGN_OR_RETURN(info.plan, resolver->Resolve(ref.db, ref.table));
+      // Re-qualify the subtree's outputs under the FROM alias.
+      info.plan->output_qualifiers.assign(
+          info.plan->output_schema.num_fields(), info.alias);
+      schema = &info.plan->output_schema;
     }
-    info.plan = std::move(sub);
-    rels.push_back(std::move(info));
+    info.offset = q.combined.num_fields();
+    info.width = schema->num_fields();
+    for (const auto& f : schema->fields()) {
+      q.combined.AddField(f);
+      q.combined_quals.push_back(info.alias);
+    }
+    q.rels.push_back(std::move(info));
   }
 
-  // --- 2. Bind WHERE; classify conjuncts. ---
+  // --- 2. Bind WHERE / SELECT / GROUP BY / HAVING against it. ---
+  if (stmt.where) {
+    XDB_ASSIGN_OR_RETURN(
+        q.where, BindExpr(stmt.where, q.combined, &q.combined_quals));
+  }
+  if (stmt.select_star) {
+    for (size_t i = 0; i < q.combined.num_fields(); ++i) {
+      q.select_exprs.push_back(Expr::BoundColumn(
+          static_cast<int>(i), q.combined.field(i).type,
+          q.combined.field(i).name));
+    }
+  } else {
+    for (const auto& e : stmt.select_list) {
+      XDB_ASSIGN_OR_RETURN(ExprPtr bound,
+                           BindExpr(e, q.combined, &q.combined_quals));
+      q.select_exprs.push_back(std::move(bound));
+    }
+  }
+
+  auto resolve_by_alias = [&](const ExprPtr& e) -> ExprPtr {
+    // SQL scoping: a bare name in GROUP BY / ORDER BY may refer to a SELECT
+    // alias (the paper's example groups by the alias 'age_group').
+    if (e->kind == ExprKind::kColumnRef && e->qualifier.empty()) {
+      for (const auto& s : q.select_exprs) {
+        if (!s->alias.empty() && EqualsIgnoreCase(s->alias, e->column)) {
+          return s->Clone();
+        }
+      }
+    }
+    return nullptr;
+  };
+
+  for (const auto& g : stmt.group_by) {
+    if (ExprPtr aliased = resolve_by_alias(g)) {
+      q.group_keys.push_back(std::move(aliased));
+      continue;
+    }
+    XDB_ASSIGN_OR_RETURN(ExprPtr bound,
+                         BindExpr(g, q.combined, &q.combined_quals));
+    q.group_keys.push_back(std::move(bound));
+  }
+
+  if (stmt.having) {
+    if (ExprPtr aliased = resolve_by_alias(stmt.having)) {
+      q.having = std::move(aliased);
+    } else {
+      XDB_ASSIGN_OR_RETURN(
+          q.having, BindExpr(stmt.having, q.combined, &q.combined_quals));
+    }
+  }
+
+  q.has_aggregates = !q.group_keys.empty();
+  for (const auto& s : q.select_exprs) {
+    if (s->ContainsAggregate()) q.has_aggregates = true;
+  }
+  if (q.having && q.having->ContainsAggregate()) q.has_aggregates = true;
+  if (q.having && !q.has_aggregates) {
+    return Status::BindError("HAVING requires aggregation");
+  }
+
+  // --- 3. Grouping: rewrite HAVING and the select list over the
+  // aggregate's output. An expression's name and type do not depend on
+  // where the join order puts its columns, so the output schema is known
+  // here. ---
+  if (q.has_aggregates) {
+    for (const auto& s : q.select_exprs) CollectAggregates(s, &q.agg_calls);
+    if (q.having) CollectAggregates(q.having, &q.agg_calls);
+    if (q.agg_calls.empty()) {
+      // GROUP BY without aggregates: plain deduplication.
+      q.agg_calls.push_back(Expr::Aggregate(AggKind::kCountStar, nullptr));
+    }
+    // Group keys map to leading columns, aggregate calls to trailing ones.
+    std::vector<ExprPtr> targets = q.group_keys;
+    targets.insert(targets.end(), q.agg_calls.begin(), q.agg_calls.end());
+    std::set<const Expr*> replacements;
+    if (q.having) {
+      q.having_over_agg = ReplaceMatching(q.having, targets, &replacements);
+      if (ContainsUnreplacedColumn(*q.having_over_agg, replacements)) {
+        return Status::BindError(
+            "HAVING references columns outside GROUP BY: " +
+            q.having->ToSql());
+      }
+    }
+    for (const auto& s : q.select_exprs) {
+      ExprPtr rewritten = ReplaceMatching(s, targets, &replacements);
+      if (ContainsUnreplacedColumn(*rewritten, replacements)) {
+        return Status::BindError(
+            "select expression references columns outside GROUP BY: " +
+            s->ToSql());
+      }
+      q.select_over_agg.push_back(std::move(rewritten));
+    }
+    AddOutputFields(q.select_over_agg, &q.output_schema);
+  } else if (!stmt.select_star) {
+    AddOutputFields(q.select_exprs, &q.output_schema);
+  } else {
+    q.output_schema = q.combined;  // SELECT *: the FROM-order columns
+  }
+
+  // --- 4. ORDER BY over the output. ---
+  for (const auto& item : stmt.order_by) {
+    // An item that is not a SELECT alias keeps the raw columns it names
+    // alive through pruning.
+    if (!resolve_by_alias(item.expr)) {
+      auto bound = BindExpr(item.expr, q.combined, &q.combined_quals);
+      if (bound.ok()) q.order_exprs.push_back(*bound);
+    }
+    int idx = -1;
+    // (a) name/alias of an output column;
+    if (item.expr->kind == ExprKind::kColumnRef &&
+        item.expr->qualifier.empty()) {
+      if (auto found = q.output_schema.IndexOf(item.expr->column)) {
+        idx = static_cast<int>(*found);
+      }
+    }
+    // (b) structural match against a select expression.
+    if (idx < 0 && !stmt.select_star) {
+      auto bound = BindExpr(item.expr, q.combined, &q.combined_quals);
+      for (size_t i = 0; bound.ok() && i < q.select_exprs.size(); ++i) {
+        if (q.select_exprs[i]->Equals(**bound)) {
+          idx = static_cast<int>(i);
+          break;
+        }
+      }
+    }
+    if (idx < 0) {
+      return Status::BindError("cannot resolve ORDER BY item: " +
+                               item.expr->ToSql());
+    }
+    q.sort_keys.emplace_back(idx, item.descending);
+  }
+  return q;
+}
+
+/// The back half of Plan: filter pushdown, column pruning, join ordering
+/// and the plan nodes of a bound SELECT (consumed).
+Result<PlanPtr> PlanBound(BoundSelect* bound, const PlannerOptions& options) {
+  BoundSelect& q = *bound;
+  std::vector<RelInfo>& rels = q.rels;
+  for (RelInfo& info : rels) {
+    if (!info.derived) continue;
+    XDB_ASSIGN_OR_RETURN(info.plan, PlanBound(info.derived.get(), options));
+    info.plan->output_qualifiers.assign(
+        info.plan->output_schema.num_fields(), info.alias);
+  }
+  const Schema& combined = q.combined;
+
+  // --- 1. Classify the WHERE conjuncts. ---
   std::vector<std::vector<ExprPtr>> local_filters(rels.size());
   std::vector<JoinConjunct> join_conjuncts;
   std::vector<ExprPtr> residuals;  // cross-relation non-equi, bound globally
-  if (stmt.where) {
-    XDB_ASSIGN_OR_RETURN(ExprPtr where,
-                         BindExpr(stmt.where, combined, &combined_quals));
+  if (q.where) {
     std::vector<ExprPtr> conjuncts;
-    SplitConjuncts(where, &conjuncts);
+    SplitConjuncts(q.where, &conjuncts);
     for (auto& c : conjuncts) {
       uint32_t mask = RelMask(*c, rels);
       int nrels = __builtin_popcount(mask);
-      if (nrels <= 1 && options_.push_down_filters) {
+      if (nrels <= 1 && options.push_down_filters) {
         size_t r = mask == 0 ? 0 : static_cast<size_t>(
                                        __builtin_ctz(mask));
         local_filters[r].push_back(c);
@@ -206,91 +380,24 @@ Result<PlanPtr> Planner::Plan(const sql::SelectStmt& stmt) {
     }
   }
 
-  // --- 3. Bind SELECT / GROUP BY / ORDER BY against the global schema. ---
-  std::vector<ExprPtr> select_exprs;
-  if (stmt.select_star) {
-    for (size_t i = 0; i < combined.num_fields(); ++i) {
-      select_exprs.push_back(Expr::BoundColumn(
-          static_cast<int>(i), combined.field(i).type,
-          combined.field(i).name));
-    }
-  } else {
-    for (const auto& e : stmt.select_list) {
-      XDB_ASSIGN_OR_RETURN(ExprPtr bound,
-                           BindExpr(e, combined, &combined_quals));
-      select_exprs.push_back(std::move(bound));
-    }
-  }
-
-  auto resolve_by_alias = [&](const ExprPtr& e) -> ExprPtr {
-    // SQL scoping: a bare name in GROUP BY / ORDER BY may refer to a SELECT
-    // alias (the paper's example groups by the alias 'age_group').
-    if (e->kind == ExprKind::kColumnRef && e->qualifier.empty()) {
-      for (const auto& s : select_exprs) {
-        if (!s->alias.empty() && EqualsIgnoreCase(s->alias, e->column)) {
-          return s->Clone();
-        }
-      }
-    }
-    return nullptr;
-  };
-
-  std::vector<ExprPtr> group_keys;
-  for (const auto& g : stmt.group_by) {
-    if (ExprPtr aliased = resolve_by_alias(g)) {
-      group_keys.push_back(std::move(aliased));
-      continue;
-    }
-    XDB_ASSIGN_OR_RETURN(ExprPtr bound,
-                         BindExpr(g, combined, &combined_quals));
-    group_keys.push_back(std::move(bound));
-  }
-
-  ExprPtr having_bound;
-  if (stmt.having) {
-    if (ExprPtr aliased = resolve_by_alias(stmt.having)) {
-      having_bound = std::move(aliased);
-    } else {
-      XDB_ASSIGN_OR_RETURN(having_bound,
-                           BindExpr(stmt.having, combined, &combined_quals));
-    }
-  }
-
-  bool has_aggregates = !group_keys.empty();
-  for (const auto& s : select_exprs) {
-    if (s->ContainsAggregate()) has_aggregates = true;
-  }
-  if (having_bound && having_bound->ContainsAggregate()) {
-    has_aggregates = true;
-  }
-  if (having_bound && !has_aggregates) {
-    return Status::BindError("HAVING requires aggregation");
-  }
-
-  // --- 4. Column pruning: find the global columns anything references. ---
+  // --- 2. Column pruning: find the global columns anything references. ---
   std::set<int> needed;
   auto note = [&](const ExprPtr& e) {
     std::vector<int> cols;
     CollectColumnIndices(*e, &cols);
     needed.insert(cols.begin(), cols.end());
   };
-  for (const auto& e : select_exprs) note(e);
-  for (const auto& e : group_keys) note(e);
+  for (const auto& e : q.select_exprs) note(e);
+  for (const auto& e : q.group_keys) note(e);
   for (const auto& e : residuals) note(e);
-  if (having_bound) note(having_bound);
+  if (q.having) note(q.having);
   for (const auto& jc : join_conjuncts) {
     needed.insert(jc.left_global);
     needed.insert(jc.right_global);
   }
-  for (const auto& item : stmt.order_by) {
-    // Order keys resolve against select output later, but if they name a
-    // raw column we must keep that column alive.
-    if (ExprPtr aliased = resolve_by_alias(item.expr)) continue;
-    auto bound = BindExpr(item.expr, combined, &combined_quals);
-    if (bound.ok()) note(*bound);
-  }
+  for (const auto& e : q.order_exprs) note(e);
 
-  // --- 5. Per-relation: apply pushed filters, then prune columns. ---
+  // --- 3. Per-relation: apply pushed filters, then prune columns. ---
   // `global_to_local[g]` = column position within the (pruned) relation.
   std::vector<int> global_to_local(combined.num_fields(), -1);
   for (size_t r = 0; r < rels.size(); ++r) {
@@ -311,7 +418,7 @@ Result<PlanPtr> Planner::Plan(const sql::SelectStmt& stmt) {
     for (size_t i = 0; i < info.width; ++i) {
       int g = static_cast<int>(info.offset + i);
       if (needed.count(g) ||
-          (!options_.prune_columns)) {
+          (!options.prune_columns)) {
         info.kept.push_back(g);
       }
     }
@@ -319,7 +426,7 @@ Result<PlanPtr> Planner::Plan(const sql::SelectStmt& stmt) {
       // Keep one column so the relation still produces row multiplicity.
       info.kept.push_back(static_cast<int>(info.offset));
     }
-    if (options_.prune_columns &&
+    if (options.prune_columns &&
         info.kept.size() < info.width) {
       std::vector<ExprPtr> cols;
       for (int g : info.kept) {
@@ -342,7 +449,7 @@ Result<PlanPtr> Planner::Plan(const sql::SelectStmt& stmt) {
     }
   }
 
-  // --- 6. Join ordering (left-deep DP over connected subsets). ---
+  // --- 4. Join ordering (left-deep DP over connected subsets). ---
   struct State {
     PlanPtr plan;
     double cost = 0;                 // sum of intermediate cardinalities
@@ -403,7 +510,7 @@ Result<PlanPtr> Planner::Plan(const sql::SelectStmt& stmt) {
   for (size_t r = 0; r < rels.size(); ++r) {
     units.push_back(make_leaf_state(r));
   }
-  if (options_.colocate_joins_first && units.size() > 1) {
+  if (options.colocate_joins_first && units.size() > 1) {
     auto home_db = [](const State& st) -> std::string {
       auto dbs = st.plan->ReferencedDatabases();
       return dbs.size() == 1 ? dbs[0] : "";
@@ -428,7 +535,7 @@ Result<PlanPtr> Planner::Plan(const sql::SelectStmt& stmt) {
   State final_state;
   if (units.size() == 1) {
     final_state = units[0];
-  } else if (!options_.reorder_joins) {
+  } else if (!options.reorder_joins) {
     final_state = units[0];
     for (size_t r = 1; r < units.size(); ++r) {
       final_state = join_two(final_state, units[r]).first;
@@ -439,7 +546,7 @@ Result<PlanPtr> Planner::Plan(const sql::SelectStmt& stmt) {
     for (size_t r = 0; r < n; ++r) {
       dp[static_cast<size_t>(1) << r] = units[r];
     }
-    if (!options_.bushy_joins) {
+    if (!options.bushy_joins) {
       // Left-deep DP: extend each state by one base relation, preferring
       // connected extensions (cross joins only when unavoidable).
       for (size_t mask = 1; mask < dp.size(); ++mask) {
@@ -489,7 +596,7 @@ Result<PlanPtr> Planner::Plan(const sql::SelectStmt& stmt) {
   PlanPtr plan = final_state.plan;
   const std::vector<int>& col_map = final_state.col_map;
 
-  // --- 7. Residual cross-relation predicates on top of the join tree. ---
+  // --- 5. Residual cross-relation predicates on top of the join tree. ---
   if (!residuals.empty()) {
     std::vector<ExprPtr> rebased;
     for (const auto& rexpr : residuals) {
@@ -498,115 +605,56 @@ Result<PlanPtr> Planner::Plan(const sql::SelectStmt& stmt) {
     plan = PlanNode::MakeFilter(plan, CombineConjuncts(rebased));
   }
 
-  // --- 8. Aggregation / projection. ---
-  if (has_aggregates) {
+  // --- 6. Aggregation / projection. ---
+  if (q.has_aggregates) {
     std::vector<ExprPtr> keys_rebased;
-    for (const auto& g : group_keys) {
+    for (const auto& g : q.group_keys) {
       keys_rebased.push_back(RewrittenClone(g, col_map));
     }
-    std::vector<ExprPtr> agg_calls;
-    for (const auto& s : select_exprs) CollectAggregates(s, &agg_calls);
-    if (having_bound) CollectAggregates(having_bound, &agg_calls);
-    if (agg_calls.empty()) {
-      // GROUP BY without aggregates: plain deduplication.
-      agg_calls.push_back(Expr::Aggregate(AggKind::kCountStar, nullptr));
-    }
     std::vector<ExprPtr> aggs_rebased;
-    for (const auto& a : agg_calls) {
+    for (const auto& a : q.agg_calls) {
       aggs_rebased.push_back(RewrittenClone(a, col_map));
     }
     PlanPtr agg =
         PlanNode::MakeAggregate(plan, keys_rebased, aggs_rebased);
-
-    // Rewrite the select list over the aggregate's output: group keys map
-    // to leading columns, aggregate calls to trailing columns.
-    std::vector<ExprPtr> targets;
-    std::vector<int> target_idx;
-    for (size_t i = 0; i < group_keys.size(); ++i) {
-      targets.push_back(group_keys[i]);
-      target_idx.push_back(static_cast<int>(i));
+    if (q.having_over_agg) {
+      agg = PlanNode::MakeFilter(agg, std::move(q.having_over_agg));
     }
-    for (size_t i = 0; i < agg_calls.size(); ++i) {
-      targets.push_back(agg_calls[i]);
-      target_idx.push_back(static_cast<int>(group_keys.size() + i));
-    }
-    PlanPtr agg_out = agg;
-    std::set<const Expr*> replacements;
-    if (having_bound) {
-      ExprPtr having_rewritten =
-          ReplaceMatching(having_bound, targets, target_idx,
-                          agg->output_schema, &replacements);
-      if (ContainsUnreplacedColumn(*having_rewritten, replacements)) {
-        return Status::BindError(
-            "HAVING references columns outside GROUP BY: " +
-            having_bound->ToSql());
-      }
-      agg_out = PlanNode::MakeFilter(agg_out, std::move(having_rewritten));
-    }
-    std::vector<ExprPtr> final_exprs;
-    for (const auto& s : select_exprs) {
-      ExprPtr rewritten = ReplaceMatching(s, targets, target_idx,
-                                          agg->output_schema, &replacements);
-      if (ContainsUnreplacedColumn(*rewritten, replacements)) {
-        return Status::BindError(
-            "select expression references columns outside GROUP BY: " +
-            s->ToSql());
-      }
-      final_exprs.push_back(std::move(rewritten));
-    }
-    plan = PlanNode::MakeProject(agg_out, std::move(final_exprs));
-  } else if (!stmt.select_star) {
+    plan = PlanNode::MakeProject(agg, std::move(q.select_over_agg));
+  } else if (!q.select_star) {
     std::vector<ExprPtr> rebased;
-    for (const auto& s : select_exprs) {
+    for (const auto& s : q.select_exprs) {
       rebased.push_back(RewrittenClone(s, col_map));
     }
     plan = PlanNode::MakeProject(plan, std::move(rebased));
-  } else if (rels.size() > 1 || options_.prune_columns) {
+  } else if (rels.size() > 1 || options.prune_columns) {
     // SELECT * over multiple relations: produce the FROM-order columns.
     std::vector<ExprPtr> rebased;
-    for (const auto& s : select_exprs) {
+    for (const auto& s : q.select_exprs) {
       rebased.push_back(RewrittenClone(s, col_map));
     }
     plan = PlanNode::MakeProject(plan, std::move(rebased));
   }
 
-  // --- 9. ORDER BY over the final output. ---
-  if (!stmt.order_by.empty()) {
-    std::vector<std::pair<int, bool>> sort_keys;
-    for (const auto& item : stmt.order_by) {
-      int idx = -1;
-      // (a) name/alias of an output column;
-      if (item.expr->kind == ExprKind::kColumnRef &&
-          item.expr->qualifier.empty()) {
-        if (auto found = plan->output_schema.IndexOf(item.expr->column)) {
-          idx = static_cast<int>(*found);
-        }
-      }
-      // (b) structural match against a select expression.
-      if (idx < 0 && !stmt.select_star) {
-        auto bound = BindExpr(item.expr, combined, &combined_quals);
-        if (bound.ok()) {
-          for (size_t i = 0; i < select_exprs.size(); ++i) {
-            if (select_exprs[i]->Equals(**bound)) {
-              idx = static_cast<int>(i);
-              break;
-            }
-          }
-        }
-      }
-      if (idx < 0) {
-        return Status::BindError("cannot resolve ORDER BY item: " +
-                                 item.expr->ToSql());
-      }
-      sort_keys.emplace_back(idx, item.descending);
-    }
-    plan = PlanNode::MakeSort(plan, std::move(sort_keys));
+  // --- 7. ORDER BY and LIMIT over the output. ---
+  if (!q.sort_keys.empty()) {
+    plan = PlanNode::MakeSort(plan, std::move(q.sort_keys));
   }
-
-  // --- 10. LIMIT. ---
-  if (stmt.limit >= 0) plan = PlanNode::MakeLimit(plan, stmt.limit);
+  if (q.limit >= 0) plan = PlanNode::MakeLimit(plan, q.limit);
 
   return plan;
+}
+
+}  // namespace
+
+Result<Schema> Planner::Bind(const sql::SelectStmt& stmt) {
+  XDB_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(stmt, resolver_));
+  return std::move(bound.output_schema);
+}
+
+Result<PlanPtr> Planner::Plan(const sql::SelectStmt& stmt) {
+  XDB_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(stmt, resolver_));
+  return PlanBound(&bound, options_);
 }
 
 }  // namespace xdb

@@ -56,6 +56,16 @@ class Planner {
   Planner(RelationResolver* resolver, PlannerOptions options = {})
       : resolver_(resolver), options_(options) {}
 
+  /// Binds a SELECT without planning it, as PostgreSQL's parse analysis
+  /// does (CREATE VIEW): resolves its FROM relations through the resolver
+  /// (derived tables are bound, not planned), binds WHERE, SELECT, GROUP BY
+  /// and HAVING, checks grouping, resolves ORDER BY, and returns the output
+  /// schema Plan's root would have. Every error Plan reports comes from
+  /// here.
+  Result<Schema> Bind(const sql::SelectStmt& stmt);
+
+  /// Bind, then filter pushdown, column pruning, join ordering and the
+  /// plan nodes; each relation is resolved once.
   Result<PlanPtr> Plan(const sql::SelectStmt& stmt);
 
  private:

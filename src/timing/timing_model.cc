@@ -20,10 +20,7 @@ double TimingModel::ComputeSeconds(const ComputeTrace& t,
   // Note: materialized_rows is deliberately *not* costed here — explicit
   // movements charge their write in MaterializedDuration so the cost lands
   // on the correct consumer regardless of which frame recorded the counter.
-  if (p.parallelism > 1) {
-    work = work * (1.0 - p.parallel_fraction) +
-           work * p.parallel_fraction / static_cast<double>(p.parallelism);
-  }
+  work = p.ParallelSeconds(work);
   if (!free_network) {
     // Ingesting foreign rows through the wrapper is compute on the
     // consumer, but it vanishes when tables are localized — matching the

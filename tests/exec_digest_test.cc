@@ -28,6 +28,7 @@
 #include "src/exec/executor.h"
 #include "src/plan/stats.h"
 #include "src/sql/parser.h"
+#include "tests/bind_check.h"
 
 namespace xdb {
 namespace {
@@ -773,6 +774,20 @@ TEST(ExecDigest, GeneratorCoversTheClaimedShapes) {
   EXPECT_GE(big, kCases / 10);
   EXPECT_GT(empty, 0);
   EXPECT_GT(plan_joins, 0);
+}
+
+// CREATE VIEW binds instead of planning: every generated statement binds
+// to the output schema its plan has.
+TEST(ExecDigestBind, BindYieldsThePlannedSchema) {
+  for (int i = 0; i < kCases; ++i) {
+    const Case c = MakeCase(i);
+    if (c.plan_join) continue;
+    Federation fed;
+    DatabaseServer* d1 = fed.AddServer("d1", EngineProfile::Postgres());
+    ASSERT_TRUE(d1->CreateBaseTable("ta", c.ta).ok());
+    ASSERT_TRUE(d1->CreateBaseTable("tb", c.tb).ok());
+    ExpectBindMatchesPlan(d1, c.sql);
+  }
 }
 
 // Recorded at the commit before the columnar executor.

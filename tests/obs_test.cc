@@ -294,30 +294,36 @@ TEST(ExplainAnalyzeTest, TopNKeepsItsSortLine) {
 // The profile accounts for every row the timing model charges: on one
 // server holding every TPC-H table, each evaluation query's operator
 // records sum to its compute frame's modelled seconds (less the engine's
-// per-query startup). Q3 and Q10 end in a fused top-N Sort.
+// per-query startup), on a one-worker engine and on a parallel one. Q3 and
+// Q10 end in a fused top-N Sort.
 TEST(OperatorProfilerTest, ModelledSecondsSumToTheChargedCompute) {
   tpch::TableDistribution one_server;
   for (const auto& [table, node] : tpch::TD1()) one_server[table] = "db1";
-  auto fed = tpch::BuildTpchFederation(0.002, one_server);
-  DatabaseServer* db1 = fed->GetServer("db1");
-  const TimingModel model(fed.get());
-  for (const auto& q : tpch::EvaluationQueries()) {
-    SCOPED_TRACE(q.id);
-    OperatorProfiler prof;
-    db1->set_profiler(&prof);
-    fed->BeginRun("db1");
-    Result<TablePtr> r = db1->ExecuteQuery(q.sql);
-    const RunTrace trace = fed->FinishRun();
-    db1->set_profiler(nullptr);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    double profiled = 0;
-    for (const auto& s : prof.records()) {
-      profiled += OperatorProfiler::ModelledSeconds(s, db1->profile());
+  for (const EngineProfile& engine :
+       {EngineProfile::Postgres(), EngineProfile::PrestoMediator(4)}) {
+    SCOPED_TRACE(engine.vendor);
+    auto fed = tpch::BuildTpchFederation(0.002, one_server,
+                                         {{"db1", engine}});
+    DatabaseServer* db1 = fed->GetServer("db1");
+    const TimingModel model(fed.get());
+    for (const auto& q : tpch::EvaluationQueries()) {
+      SCOPED_TRACE(q.id);
+      OperatorProfiler prof;
+      db1->set_profiler(&prof);
+      fed->BeginRun("db1");
+      Result<TablePtr> r = db1->ExecuteQuery(q.sql);
+      const RunTrace trace = fed->FinishRun();
+      db1->set_profiler(nullptr);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      double profiled = 0;
+      for (const auto& s : prof.records()) {
+        profiled += OperatorProfiler::ModelledSeconds(s, db1->profile());
+      }
+      const double charged =
+          model.ComputeSeconds(trace.root_compute, db1->profile(), false) -
+          db1->profile().startup_cost;
+      EXPECT_NEAR(profiled, charged, 1e-9 * charged);
     }
-    const double charged =
-        model.ComputeSeconds(trace.root_compute, db1->profile(), false) -
-        db1->profile().startup_cost;
-    EXPECT_NEAR(profiled, charged, 1e-9 * charged);
   }
 }
 

@@ -17,6 +17,7 @@
 #include "src/dbms/server.h"
 #include "src/mediator/mediator.h"
 #include "src/xdb/xdb.h"
+#include "tests/bind_check.h"
 
 namespace xdb {
 namespace {
@@ -266,6 +267,29 @@ TEST_P(RandomFederatedQuery, AllSystemsMatchOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomFederatedQuery,
                          ::testing::Range(1u, 41u));
+
+// CREATE VIEW binds instead of planning: every generated query binds to
+// the output schema its plan has, on one server and on XDB's catalog.
+TEST(RandomFederatedBind, BindYieldsThePlannedSchema) {
+  for (uint32_t seed = 1; seed < 41; ++seed) {
+    Scenario s = Generate(seed);
+    Federation mono_fed;
+    auto* mono = mono_fed.AddServer("mono", EngineProfile::Postgres());
+    Federation fed;
+    fed.SetNetwork(Network::Lan(s.servers));
+    for (const auto& srv : s.servers) {
+      fed.AddServer(srv, EngineProfile::Postgres());
+    }
+    for (const auto& t : s.tables) {
+      ASSERT_TRUE(mono->CreateBaseTable(t.name, t.data).ok());
+      ASSERT_TRUE(
+          fed.GetServer(t.server)->CreateBaseTable(t.name, t.data).ok());
+    }
+    XdbSystem xdb(&fed);
+    ExpectBindMatchesPlan(mono, s.query);
+    ExpectBindMatchesPlan(&xdb.catalog(), s.query);
+  }
+}
 
 }  // namespace
 }  // namespace xdb

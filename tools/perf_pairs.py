@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of the wall-clock benchmark, with verdicts.
 
     python3 tools/perf_pairs.py --parent <git ref> --workload <name> \\
-        [--pairs 10] [--seed 7]
+        [--pairs 10] [--seed 7] [--record]
     python3 tools/perf_pairs.py --self-test
 
 Run from anywhere inside the repository. The change is the working tree this
@@ -32,10 +32,17 @@ neither), and two verdicts:
 The failed share of answers is reported per side, and every run that exited
 non-zero or printed `"correct": false` is listed. Exit status: 0 when every
 run completed and answered correctly (whatever the verdicts), 1 otherwise.
+
+--record appends the run to bench/baseline/BENCH_wall.json, the committed
+wall-clock trajectory: the workload, seed, pair count, the parent commit and
+the working tree's HEAD commit (`change_dirty` when the tree had uncommitted
+changes, so the record describes the change on top of that commit), and per
+end-to-end metric both medians, the ratio, the wins and both verdicts.
 """
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -45,6 +52,7 @@ import tempfile
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TOOLS_DIR)
 MIN_PAIRS = 10  # the fewest pairs a gain verdict may rest on
+WALL_JSON = os.path.join(ROOT, "bench", "baseline", "BENCH_wall.json")
 
 
 def quantile(values, q):
@@ -140,6 +148,49 @@ def report(rows, pairs, bad_runs, out=sys.stdout):
         out.write("BAD RUN %s\n" % label)
 
 
+def make_record(workload, seed, commits, rows, pairs, bad_runs):
+    """One BENCH_wall.json record; `commits` is (parent, change, dirty)."""
+    parent, change, dirty = commits
+    metrics = {}
+    for r in rows:
+        metrics[r["name"]] = {
+            "unit": r["unit"], "parent_median": r["parent"][1],
+            "change_median": r["change"][1],
+            "ratio": r["ratio"] if math.isfinite(r["ratio"]) else None,
+            "wins": r["wins"], "gain": r["gain"], "bound": r["bound"]}
+    failed = {}
+    for side, k in (("parent", 0), ("change", 1)):
+        f, attempted = failed_share([pr[k] for pr in pairs])
+        failed[side] = {"failed": f, "attempted": attempted}
+    return {"workload": workload, "seed": seed, "pairs": len(pairs),
+            "parent": parent, "change": change, "change_dirty": dirty,
+            "metrics": metrics, "failed": failed, "bad_runs": bad_runs}
+
+
+def append_record(path, record):
+    doc = {"bench": "wall", "records": []}
+    if os.path.exists(path):
+        with open(path) as f:
+            doc = json.load(f)
+    doc["records"].append(record)
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+
+
+def change_commit():
+    """The working tree's HEAD and whether tracked files differ from it
+    (the trajectory file itself aside)."""
+    head = subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"],
+                          check=True, text=True,
+                          stdout=subprocess.PIPE).stdout.strip()
+    status = subprocess.run(
+        ["git", "-C", ROOT, "status", "--porcelain", "--untracked-files=no",
+         "--", ".", ":!" + os.path.relpath(WALL_JSON, ROOT)],
+        check=True, text=True, stdout=subprocess.PIPE).stdout
+    return head, status.strip() != ""
+
+
 def export_parent(ref, work):
     sha = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
                           ref + "^{commit}"], check=True, text=True,
@@ -206,7 +257,14 @@ def run_pairs(args):
                 bad_runs.append("%s: exit %d, correct %s" % (
                     label, exit_code, json.dumps(got[side]["correct"])))
         pairs.append((got["parent"], got["change"]))
-    report(analyze(pairs, bench["end_to_end"]), pairs, bad_runs)
+    rows = analyze(pairs, bench["end_to_end"])
+    report(rows, pairs, bad_runs)
+    if args.record:
+        change, dirty = change_commit()
+        append_record(WALL_JSON, make_record(args.workload, args.seed,
+                                             (sha, change, dirty), rows,
+                                             pairs, bad_runs))
+        print("recorded in %s" % os.path.relpath(WALL_JSON, ROOT))
     return 1 if bad_runs else 0
 
 
@@ -280,6 +338,20 @@ def self_test():
     assert json.loads(line.split(": ", 1)[1]) == pairs[0][1]
     report(analyze(failing, spec), failing,
            ["pair 4 change: exit 1, correct false"])
+    # A record appended to the trajectory file reads back unchanged, after
+    # the records already there.
+    record = make_record("serving_sf1", 7, ("p" * 40, "c" * 40, True),
+                         analyze(failing, spec), failing,
+                         ["pair 4 change: exit 1, correct false"])
+    assert record["metrics"]["cpu"]["wins"] == 10
+    assert record["failed"]["change"] == {"failed": 1, "attempted": 1000}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "BENCH_wall.json")
+        append_record(path, record)
+        append_record(path, record)
+        with open(path) as f:
+            doc = json.load(f)
+    assert doc == {"bench": "wall", "records": [record, record]}, doc
     print("self-test passed")
     return 0
 
@@ -292,6 +364,9 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--self-test", action="store_true",
                         help="check the verdicts on canned result lines")
+    parser.add_argument("--record", action="store_true",
+                        help="append the run to bench/baseline/"
+                        "BENCH_wall.json")
     args = parser.parse_args()
     if args.self_test:
         return self_test()

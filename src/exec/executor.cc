@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -36,6 +37,7 @@ namespace {
 // reproductions).
 constexpr size_t kMorselRows = 4096;      // filter / project / join probe
 constexpr size_t kAggMorselRows = 16384;  // aggregation partial-state ranges
+constexpr size_t kKeyBlockRows = 1024;    // group keys decoded at a time
 
 /// The profiler record of the operator currently executing, or nullptr when
 /// no profiler is attached. Only touched on the coordinating thread (stats
@@ -49,16 +51,20 @@ int64_t MorselCount(size_t n, size_t morsel_rows) {
   return static_cast<int64_t>((n + morsel_rows - 1) / morsel_rows);
 }
 
-/// Runs `fn(begin, end, &parts[m])` over fixed-size morsels of [0, n), each
-/// morsel filling its own part; the parts come back in morsel order, so
+/// Runs `fn(begin, end, &part)` over fixed-size morsels of [0, n), each
+/// morsel filling a part of its own; the parts come back in morsel order, so
 /// concatenating them is identical to a serial loop for any worker count.
+/// A morsel fills a local part and moves it into its slot once: neighbouring
+/// slots share a cache line, and the workers take neighbouring morsels.
 template <typename Part, typename MorselFn>
 std::vector<Part> PerMorsel(int workers, size_t n, size_t morsel_rows,
                             const MorselFn& fn) {
   std::vector<Part> parts((n + morsel_rows - 1) / morsel_rows);
   ParallelFor(workers, n, morsel_rows,
               [&](size_t m, size_t begin, size_t end) {
-                fn(begin, end, &parts[m]);
+                Part part;
+                fn(begin, end, &part);
+                parts[m] = std::move(part);
               });
   return parts;
 }
@@ -139,15 +145,17 @@ struct JoinKeys {
 /// A row's bucket is the low bits of its key hash. Bucket b owns the slots
 /// [offsets[b], offsets[b + 1]), which hold its build rows in ascending row
 /// order (a stable counting sort), each with its hash and key lanes; rows
-/// with a NULL key lane are left out. A probe walks one bucket and keeps
-/// the slots whose hash, lanes and string bytes equal its own: exactly the
-/// build rows whose normalized key bytes equal the probe's, in ascending
-/// row order. The layout depends only on the build input, never on the
-/// worker count.
+/// with a NULL key lane are left out. tags[b] ORs the JoinTagBit of the
+/// bucket's hashes, so a probe row whose bit is clear there matches nothing
+/// in it. A probe walks one bucket and keeps the slots whose hash, lanes and
+/// string bytes equal its own: exactly the build rows whose normalized key
+/// bytes equal the probe's, in ascending row order. The layout depends only
+/// on the build input, never on the worker count.
 struct JoinTable {
   size_t width = 0;  // key columns
   uint64_t mask = 0;  // bucket count - 1 (a power of two)
   std::vector<uint32_t> offsets;
+  std::vector<uint16_t> tags;
   std::vector<uint32_t> rows;
   std::vector<uint64_t> hashes;
   std::vector<KeyLane> lanes;  // `width` per slot
@@ -169,8 +177,12 @@ struct JoinTable {
     while (buckets < slots) buckets <<= 1;
     mask = buckets - 1;
     offsets.assign(buckets + 1, 0);
+    tags.assign(buckets, 0);
     for (size_t j = 0; j < n; ++j) {
-      if (valid[j] != 0) ++offsets[(row_hashes[j] & mask) + 1];
+      if (valid[j] == 0) continue;
+      const uint64_t h = row_hashes[j];
+      ++offsets[(h & mask) + 1];
+      tags[h & mask] |= JoinTagBit(h);
     }
     for (size_t b = 0; b < buckets; ++b) offsets[b + 1] += offsets[b];
     std::vector<uint32_t> next(offsets.begin(), offsets.end() - 1);
@@ -336,6 +348,16 @@ Result<TablePtr> ExecJoin(const PlanNode& plan, ExecContext* ctx,
         std::vector<uint8_t> valid(m);
         probe_keys.Decode(begin, end, lanes.data(), m, hashes.data(),
                           valid.data());
+        // Pass 1, without branches: the rows whose key is not NULL and whose
+        // tag bit is set in their bucket's tag. A true match always is; a
+        // cross product's rows all hash to 0 and all pass.
+        const auto candidates = std::make_unique_for_overwrite<uint32_t[]>(m);
+        size_t count = 0;
+        for (size_t r = 0; r < m; ++r) {
+          const uint64_t h = hashes[r];
+          candidates[count] = static_cast<uint32_t>(r);
+          count += valid[r] & ((ht.tags[h & ht.mask] & JoinTagBit(h)) != 0);
+        }
         auto same_key = [&](uint32_t s, size_t r) {
           for (size_t c = 0; c < width; ++c) {
             const KeyLane& lane = lanes[c * m + r];
@@ -348,8 +370,9 @@ Result<TablePtr> ExecJoin(const PlanNode& plan, ExecContext* ctx,
           }
           return true;
         };
-        for (size_t r = 0; r < m; ++r) {
-          if (valid[r] == 0) continue;
+        // Pass 2: each candidate walks its bucket.
+        for (size_t k = 0; k < count; ++k) {
+          const size_t r = candidates[k];
           const uint64_t h = hashes[r];
           const uint64_t b = h & ht.mask;
           const uint32_t p = static_cast<uint32_t>(begin + r);
@@ -397,69 +420,68 @@ Result<TablePtr> ExecAggregate(const PlanNode& plan, ExecContext* ctx,
   // Partial aggregation over fixed row ranges, merged in range order. The
   // range cut depends only on n, so accumulation order — and with it every
   // SUM/AVG double — is identical for any worker count.
-  const size_t num_parts =
-      std::max<size_t>(1, (n + kAggMorselRows - 1) / kAggMorselRows);
-  std::vector<GroupMap> partials(num_parts);
-  // Global aggregation (no GROUP BY) must yield one row even on empty input.
-  if (nkeys == 0) {
-    GroupEntry& e = partials[0][std::string()];
-    e.states.resize(naggs);
-  }
-
-  ParallelFor(workers, n, kAggMorselRows, [&](size_t part, size_t begin,
-                                              size_t end) {
-    GroupMap& groups = partials[part];
-    SelVector sel;
-    SelRange(begin, end, &sel);
-    // Group keys and aggregate inputs are evaluated per range, down their
-    // columns, and the keys decoded into lanes; each row then finds its
-    // group by the normalized bytes of its key lanes.
-    const size_t m = sel.size();
-    std::vector<ColumnChunk> keys;
-    std::vector<KeyLane> lanes(nkeys * m);
-    for (size_t c = 0; c < nkeys; ++c) {
-      keys.push_back(EvalExprBatch(*plan.group_keys[c], cols, sel));
-      keys.back().DecodeKeyLanes(0, m, lanes.data() + c * m);
-    }
-    std::vector<GroupEntry*> entries(m);
-    std::string norm;
-    for (size_t i = 0; i < m; ++i) {
-      norm.clear();
-      for (size_t c = 0; c < nkeys; ++c) {
-        const KeyLane& lane = lanes[c * m + i];
-        AppendNormalizedKey(lane,
-                            lane.cls == KeyClass::kString
-                                ? std::string_view(keys[c].StringAt(i))
-                                : std::string_view(),
-                            &norm);
-      }
-      auto [it, inserted] = groups.try_emplace(norm);
-      if (inserted) {
-        it->second.key.reserve(nkeys);
-        for (const ColumnChunk& k : keys) {
-          it->second.key.push_back(k.GetValue(i));
+  std::vector<GroupMap> partials = PerMorsel<GroupMap>(
+      workers, n, kAggMorselRows,
+      [&](size_t begin, size_t end, GroupMap* groups) {
+        SelVector sel;
+        SelRange(begin, end, &sel);
+        // Group keys and aggregate inputs are evaluated per range, down
+        // their columns, and the keys decoded into lanes a block at a time;
+        // each row then finds its group by the normalized bytes of its key
+        // lanes.
+        const size_t m = sel.size();
+        std::vector<ColumnChunk> keys;
+        for (size_t c = 0; c < nkeys; ++c) {
+          keys.push_back(EvalExprBatch(*plan.group_keys[c], cols, sel));
         }
-        it->second.states.resize(naggs);
-      }
-      entries[i] = &it->second;
-    }
-    for (size_t a = 0; a < naggs; ++a) {
-      const Expr& agg = *plan.aggregates[a];
-      if (agg.agg_kind == AggKind::kCountStar) {
-        for (GroupEntry* e : entries) ++e->states[a].count;
-        continue;
-      }
-      const ColumnChunk in = EvalExprBatch(*agg.children[0], cols, sel);
-      for (size_t i = 0; i < sel.size(); ++i) {
-        entries[i]->states[a].Add(agg.agg_kind, in, i);
-      }
-    }
-  });
+        std::vector<KeyLane> lanes(nkeys * std::min(m, kKeyBlockRows));
+        std::vector<GroupEntry*> entries(m);
+        std::string norm;
+        for (size_t block = 0; block < m; block += kKeyBlockRows) {
+          const size_t rows = std::min(kKeyBlockRows, m - block);
+          for (size_t c = 0; c < nkeys; ++c) {
+            keys[c].DecodeKeyLanes(block, block + rows,
+                                   lanes.data() + c * rows);
+          }
+          for (size_t r = 0; r < rows; ++r) {
+            const size_t i = block + r;
+            norm.clear();
+            for (size_t c = 0; c < nkeys; ++c) {
+              const KeyLane& lane = lanes[c * rows + r];
+              AppendNormalizedKey(lane,
+                                  lane.cls == KeyClass::kString
+                                      ? std::string_view(keys[c].StringAt(i))
+                                      : std::string_view(),
+                                  &norm);
+            }
+            auto [it, inserted] = groups->try_emplace(norm);
+            if (inserted) {
+              it->second.key.reserve(nkeys);
+              for (const ColumnChunk& k : keys) {
+                it->second.key.push_back(k.GetValue(i));
+              }
+              it->second.states.resize(naggs);
+            }
+            entries[i] = &it->second;
+          }
+        }
+        for (size_t a = 0; a < naggs; ++a) {
+          const Expr& agg = *plan.aggregates[a];
+          if (agg.agg_kind == AggKind::kCountStar) {
+            for (GroupEntry* e : entries) ++e->states[a].count;
+            continue;
+          }
+          const ColumnChunk in = EvalExprBatch(*agg.children[0], cols, sel);
+          for (size_t i = 0; i < m; ++i) {
+            entries[i]->states[a].Add(agg.agg_kind, in, i);
+          }
+        }
+      });
 
   // Deterministic merge: partitions fold into the first map in range order,
   // so the merged map's contents (and its iteration order, which sets the
   // output row order) are a pure function of the input.
-  GroupMap merged = std::move(partials[0]);
+  GroupMap merged = partials.empty() ? GroupMap() : std::move(partials[0]);
   for (size_t p = 1; p < partials.size(); ++p) {
     for (auto& [key, entry] : partials[p]) {
       auto [it, inserted] = merged.try_emplace(key);
@@ -471,6 +493,10 @@ Result<TablePtr> ExecAggregate(const PlanNode& plan, ExecContext* ctx,
         it->second.states[a].Merge(entry.states[a]);
       }
     }
+  }
+  // Global aggregation (no GROUP BY) must yield one row even on empty input.
+  if (nkeys == 0 && merged.empty()) {
+    merged[std::string()].states.resize(naggs);
   }
 
   auto out = std::make_shared<Table>(plan.output_schema);

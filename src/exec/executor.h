@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -77,5 +78,13 @@ class ExecContext {
 /// are bit-identical to serial execution (DESIGN.md, "Parallel execution
 /// vs. the timing model").
 Result<TablePtr> ExecutePlan(const PlanNode& plan, ExecContext* ctx);
+
+/// The bit that a join key's hash sets in its hash-join bucket's 16-bit tag,
+/// chosen by the hash's top four bits, which no bucket index reaches. A probe
+/// row whose bit is clear in its bucket's tag has no match there, so the
+/// probe skips it without reading a slot.
+inline uint16_t JoinTagBit(uint64_t hash) {
+  return static_cast<uint16_t>(1u << (hash >> 60));
+}
 
 }  // namespace xdb

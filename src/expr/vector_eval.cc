@@ -1,6 +1,9 @@
 #include "src/expr/vector_eval.h"
 
 #include <algorithm>
+#include <iterator>
+
+#include "src/common/str_util.h"
 
 namespace xdb {
 
@@ -47,10 +50,22 @@ bool HasNull(const ColumnChunk& c) {
   return false;
 }
 
-// Value::Compare of two strings.
+// Value::Compare of two strings, and of two non-double numerics.
 int CompareStrings(const std::string& a, const std::string& b) {
   const int c = a.compare(b);
   return c < 0 ? -1 : (c == 0 ? 0 : 1);
+}
+int CompareInts(int64_t a, int64_t b) { return a < b ? -1 : (a == b ? 0 : 1); }
+
+/// One keep byte per dictionary entry: `pass(entry)`. A dictionary column's
+/// lanes are decided once per entry, since a verdict depends only on the
+/// entry's bytes.
+template <typename Pass>
+std::vector<uint8_t> EntryVerdicts(const std::vector<std::string>& dict,
+                                   const Pass& pass) {
+  std::vector<uint8_t> keep(dict.size());
+  for (size_t e = 0; e < dict.size(); ++e) keep[e] = pass(dict[e]) ? 1 : 0;
+  return keep;
 }
 
 /// Lanes computed one by one; the chunk stays plain when their tags agree.
@@ -198,16 +213,12 @@ ColumnChunk EvalCompare(BinaryOp op, const ColumnChunk& l,
     }
     int c;
     switch (kind) {
-      case Kind::kInt: {
-        const int64_t a = l.i64_data()[i], b = r.i64_data()[i];
-        c = a < b ? -1 : (a == b ? 0 : 1);
+      case Kind::kInt:
+        c = CompareInts(l.i64_data()[i], r.i64_data()[i]);
         break;
-      }
-      case Kind::kDouble: {
-        const double a = LaneAsDouble(l, i), b = LaneAsDouble(r, i);
-        c = a < b ? -1 : (a == b ? 0 : 1);
+      case Kind::kDouble:
+        c = CompareDoubles(LaneAsDouble(l, i), LaneAsDouble(r, i));
         break;
-      }
       case Kind::kString:
         c = CompareStrings(LaneStr(l, i), LaneStr(r, i));
         break;
@@ -230,11 +241,10 @@ ColumnChunk CompareStringsToLiteral(BinaryOp op, const ColumnChunk& col,
   std::vector<uint8_t> nulls(n, 0);
   std::vector<uint8_t> verdict;
   if (IsDict(col)) {
-    for (const std::string& entry : col.dict()) {
+    verdict = EntryVerdicts(col.dict(), [&](const std::string& entry) {
       const int c = Value::String(entry).Compare(lit);
-      verdict.push_back(
-          static_cast<uint8_t>(CmpResult(op, lit_right ? c : -c)));
-    }
+      return CmpResult(op, lit_right ? c : -c) != 0;
+    });
   }
   for (size_t i = 0; i < n; ++i) {
     if (col.IsNull(i)) {
@@ -384,10 +394,12 @@ ColumnChunk EvalBetween(const Expr& expr, const Columns& cols,
     }
     bool ge_lo, le_hi;
     if (numeric) {
-      ge_lo = lo_int ? v.i64_data()[i] >= lo.i64_data()[i]
-                     : LaneAsDouble(v, i) >= LaneAsDouble(lo, i);
-      le_hi = hi_int ? v.i64_data()[i] <= hi.i64_data()[i]
-                     : LaneAsDouble(v, i) <= LaneAsDouble(hi, i);
+      ge_lo = (lo_int ? CompareInts(v.i64_data()[i], lo.i64_data()[i])
+                      : CompareDoubles(LaneAsDouble(v, i),
+                                       LaneAsDouble(lo, i))) >= 0;
+      le_hi = (hi_int ? CompareInts(v.i64_data()[i], hi.i64_data()[i])
+                      : CompareDoubles(LaneAsDouble(v, i),
+                                       LaneAsDouble(hi, i))) <= 0;
     } else {
       const Value vv = v.GetValue(i);
       ge_lo = vv.Compare(lo.GetValue(i)) >= 0;
@@ -429,6 +441,143 @@ ColumnChunk EvalVec(const Expr& expr, const Columns& cols,
   }
 }
 
+// In-place predicate tests: ColumnChunk::SelectLanes reads each lane where
+// it is stored and asks one of these whether to keep it. Each picks int or
+// double comparison as EvalCompare and EvalBetween do on the gathered lanes:
+// int64 when both the lane and the literal are int-class (bool, int64,
+// date), double otherwise. A NULL lane is dropped before its verdict counts.
+
+/// A non-NULL numeric literal, decoded once.
+struct NumericLiteral {
+  bool is_int;
+  int64_t i;
+  double d;
+
+  explicit NumericLiteral(const Value& v)
+      : is_int(IsI64Class(v.type())), i(v.int64_value()), d(v.AsDouble()) {}
+
+  /// Value::Compare(lane, literal), or Value::Compare(literal, lane) when
+  /// the literal is on the left.
+  int Compare(int64_t lane, bool lit_right) const {
+    if (!is_int) return Compare(static_cast<double>(lane), lit_right);
+    return lit_right ? CompareInts(lane, i) : CompareInts(i, lane);
+  }
+  int Compare(double lane, bool lit_right) const {
+    return lit_right ? CompareDoubles(lane, d) : CompareDoubles(d, lane);
+  }
+};
+
+/// `lane op literal`, or `literal op lane` when the literal is on the left.
+struct CompareToNumber {
+  BinaryOp op;
+  NumericLiteral lit;
+  bool lit_right;
+
+  bool operator()(int64_t lane) const {
+    return CmpResult(op, lit.Compare(lane, lit_right)) != 0;
+  }
+  bool operator()(double lane) const {
+    return CmpResult(op, lit.Compare(lane, lit_right)) != 0;
+  }
+};
+
+/// A string lane against a string literal, in expression order.
+struct CompareToString {
+  BinaryOp op;
+  const std::string& lit;
+  bool lit_right;
+
+  bool operator()(const std::string& lane) const {
+    return CmpResult(op, lit_right ? CompareStrings(lane, lit)
+                                   : CompareStrings(lit, lane)) != 0;
+  }
+  std::vector<uint8_t> operator()(const std::vector<std::string>& dict) const {
+    return EntryVerdicts(dict, *this);
+  }
+};
+
+/// `lane BETWEEN lo AND hi`.
+struct BetweenNumbers {
+  NumericLiteral lo, hi;
+
+  bool operator()(int64_t lane) const {
+    return lo.Compare(lane, true) >= 0 && hi.Compare(lane, true) <= 0;
+  }
+  bool operator()(double lane) const {
+    return lo.Compare(lane, true) >= 0 && hi.Compare(lane, true) <= 0;
+  }
+};
+
+/// `lane LIKE pattern`.
+struct LikePattern {
+  const std::string& pattern;
+
+  bool operator()(const std::string& lane) const {
+    return LikeMatch(lane, pattern);
+  }
+  std::vector<uint8_t> operator()(const std::vector<std::string>& dict) const {
+    return EntryVerdicts(dict, *this);
+  }
+};
+
+/// Narrows `sel` in one pass over a column's stored lanes when `expr` is a
+/// comparison between a column and a non-NULL literal (either side), a
+/// column BETWEEN two non-NULL numeric literals, or a column LIKE a string
+/// literal: no gather, no literal column, no truth column. Returns false,
+/// with `sel` as it was, for any other shape and for lanes no test reads in
+/// place (boxed lanes, strings against numbers).
+bool SelectInPlace(const Expr& expr, const Columns& cols, SelVector* sel) {
+  auto literal = [](const Expr& e, bool numeric) {
+    return e.kind == ExprKind::kLiteral && !e.literal.is_null() &&
+           (e.literal.type() != TypeId::kString) == numeric;
+  };
+  auto column = [&](const Expr& e) -> const ColumnChunk* {
+    return e.kind == ExprKind::kColumnRef
+               ? &cols[static_cast<size_t>(e.column_index)]
+               : nullptr;
+  };
+  switch (expr.kind) {
+    case ExprKind::kBinary: {
+      if (expr.binary_op < BinaryOp::kEq || expr.binary_op > BinaryOp::kGe) {
+        return false;
+      }
+      const bool lit_right = expr.children[1]->kind == ExprKind::kLiteral;
+      const ColumnChunk* col = column(*expr.children[lit_right ? 0 : 1]);
+      const Expr& lit = *expr.children[lit_right ? 1 : 0];
+      if (col == nullptr) return false;
+      if (literal(lit, true)) {
+        return col->SelectLanes(
+            CompareToNumber{expr.binary_op, NumericLiteral(lit.literal),
+                            lit_right},
+            sel);
+      }
+      return literal(lit, false) &&
+             col->SelectLanes(CompareToString{expr.binary_op,
+                                               lit.literal.string_value(),
+                                               lit_right},
+                              sel);
+    }
+    case ExprKind::kBetween: {
+      const ColumnChunk* col = column(*expr.children[0]);
+      const Expr& lo = *expr.children[1];
+      const Expr& hi = *expr.children[2];
+      return col != nullptr && literal(lo, true) && literal(hi, true) &&
+             col->SelectLanes(BetweenNumbers{NumericLiteral(lo.literal),
+                                             NumericLiteral(hi.literal)},
+                              sel);
+    }
+    case ExprKind::kLike: {
+      const ColumnChunk* col = column(*expr.children[0]);
+      const Expr& pattern = *expr.children[1];
+      return col != nullptr && literal(pattern, false) &&
+             col->SelectLanes(LikePattern{pattern.literal.string_value()},
+                              sel);
+    }
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 void SelRange(size_t begin, size_t end, SelVector* sel) {
@@ -453,6 +602,22 @@ void EvalPredicateBatch(const Expr& expr, const Columns& columns,
     EvalPredicateBatch(*expr.children[1], columns, sel);
     return;
   }
+  // Disjunction = selection union: a WHERE keeps only TRUE, and an OR is
+  // TRUE exactly when one side is. The right side sees only the lanes the
+  // left side did not keep.
+  if (expr.kind == ExprKind::kBinary && expr.binary_op == BinaryOp::kOr) {
+    SelVector left = *sel;
+    EvalPredicateBatch(*expr.children[0], columns, &left);
+    SelVector right;
+    std::set_difference(sel->begin(), sel->end(), left.begin(), left.end(),
+                        std::back_inserter(right));
+    EvalPredicateBatch(*expr.children[1], columns, &right);
+    sel->clear();
+    std::merge(left.begin(), left.end(), right.begin(), right.end(),
+               std::back_inserter(*sel));
+    return;
+  }
+  if (SelectInPlace(expr, columns, sel)) return;
   ColumnChunk v = EvalVec(expr, columns, *sel);
   size_t kept = 0;
   for (size_t i = 0; i < sel->size(); ++i) {

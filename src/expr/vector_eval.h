@@ -36,6 +36,10 @@ ColumnChunk EvalExprBatch(const Expr& expr,
 /// \brief Filters `sel` down to the lanes where the predicate evaluates to
 /// (non-NULL) TRUE, preserving order. A top-level AND intersects: the left
 /// conjunct shrinks `sel`, and the right conjunct only sees the survivors.
+/// An OR unites: the right side sees only the lanes the left did not keep.
+/// A column compared with a non-NULL literal, BETWEEN two numeric literals
+/// or LIKE a string literal is tested where its lanes are stored
+/// (ColumnChunk::SelectLanes), without gathering it.
 void EvalPredicateBatch(const Expr& expr,
                         const std::vector<ColumnChunk>& columns,
                         SelVector* sel);

@@ -54,46 +54,7 @@ bool IsInt64Class(TypeId t) {
   return t == TypeId::kBool || t == TypeId::kInt64 || t == TypeId::kDate;
 }
 
-size_t RunIndexFor(const std::vector<uint32_t>& starts, size_t i) {
-  auto it = std::upper_bound(starts.begin(), starts.end(),
-                             static_cast<uint32_t>(i));
-  return static_cast<size_t>(it - starts.begin()) - 1;
-}
-
-/// The run of each lane of an RLE chunk, for lanes visited in any order: a
-/// lane in the current or the next run moves the cursor; any other jump
-/// binary-searches the run starts.
-class RunCursor {
- public:
-  explicit RunCursor(const std::vector<uint32_t>& starts) : starts_(starts) {}
-
-  size_t Seek(size_t lane) {
-    const auto r = static_cast<uint32_t>(lane);
-    if (!InRun(run_, r)) {
-      run_ = InRun(run_ + 1, r) ? run_ + 1 : RunIndexFor(starts_, r);
-    }
-    return run_;
-  }
-
- private:
-  bool InRun(size_t run, uint32_t r) const {
-    return run < starts_.size() && starts_[run] <= r &&
-           (run + 1 == starts_.size() || r < starts_[run + 1]);
-  }
-
-  const std::vector<uint32_t>& starts_;
-  size_t run_ = 0;
-};
-
 }  // namespace
-
-template <typename At, typename Fn>
-auto ColumnChunk::ReadLanes(const At& at, const Fn& fn) const {
-  if (encoding_ != ColumnEncoding::kReference) return fn(*this, at);
-  if (pos_ == nullptr) return fn(*base_, at);
-  const Positions& pos = *pos_;
-  return fn(*base_, [&](size_t k) -> size_t { return pos[at(k)]; });
-}
 
 ColumnChunk ColumnChunk::Int64s(TypeId type, std::vector<int64_t> values,
                                 std::vector<uint8_t> nulls) {
@@ -483,7 +444,7 @@ Value ColumnChunk::GetValue(size_t i) const {
     case ColumnEncoding::kDictionary:
       return Value::String((*dict_)[codes_[i]]);
     case ColumnEncoding::kRle:
-      v = run_values_[RunIndexFor(run_starts_, i)];
+      v = run_values_[RunCursor::Find(run_starts_, i)];
       break;
     case ColumnEncoding::kFor:
       v = static_cast<int64_t>(static_cast<uint64_t>(for_ref_) + codes_[i]);

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -124,6 +126,17 @@ class ColumnChunk {
   /// The bytes of non-NULL string lane `i`.
   const std::string& StringAt(size_t i) const;
 
+  /// Narrows `sel`, lanes of this chunk, to the non-NULL lanes that `test`
+  /// keeps, in place and in order. Each lane is read where it is stored:
+  /// test(int64_t) sees a bool, int64 or date lane (plain, frame-of-reference
+  /// or RLE), test(double) a plain double lane and test(const std::string&)
+  /// a plain string lane; a dictionary asks test(dict) once for one keep
+  /// byte per entry and then reads each lane's code. Returns false, leaving
+  /// `sel` as it is, when the lanes are boxed or `test` takes none of their
+  /// type.
+  template <typename Test>
+  bool SelectLanes(const Test& test, Positions* sel) const;
+
   /// What Encode() would charge on the wire for these lanes.
   size_t EncodedSize() const;
   /// Row-format width: NULL 1 B, bool 1 B, int64/double/date 8 B, string
@@ -143,21 +156,62 @@ class ColumnChunk {
   /// place).
   void Decode();
 
+  /// The run of each lane of an RLE chunk, for lanes visited in any order:
+  /// a lane in the current or the next run moves the cursor; any other jump
+  /// binary-searches the run starts.
+  class RunCursor {
+   public:
+    explicit RunCursor(const std::vector<uint32_t>& starts)
+        : starts_(starts) {}
+
+    /// The run holding `lane`, by binary search of the run starts.
+    static size_t Find(const std::vector<uint32_t>& starts, size_t lane) {
+      auto it = std::upper_bound(starts.begin(), starts.end(),
+                                 static_cast<uint32_t>(lane));
+      return static_cast<size_t>(it - starts.begin()) - 1;
+    }
+
+    size_t Seek(size_t lane) {
+      const auto r = static_cast<uint32_t>(lane);
+      if (!InRun(run_, r)) {
+        run_ = InRun(run_ + 1, r) ? run_ + 1 : Find(starts_, r);
+      }
+      return run_;
+    }
+
+   private:
+    bool InRun(size_t run, uint32_t r) const {
+      return run < starts_.size() && starts_[run] <= r &&
+             (run + 1 == starts_.size() || r < starts_[run + 1]);
+    }
+
+    const std::vector<uint32_t>& starts_;
+    size_t run_ = 0;
+  };
+
   size_t BaseLane(size_t i) const { return pos_ ? (*pos_)[i] : i; }
   /// Calls fn(chunk, lane) on the chunk that holds the lanes at(0), at(1),
   /// ... of this one: *this with `at` itself, or a reference's base with
   /// lane(k) = pos[at(k)].
   template <typename At, typename Fn>
-  auto ReadLanes(const At& at, const Fn& fn) const;
+  auto ReadLanes(const At& at, const Fn& fn) const {
+    if (encoding_ != ColumnEncoding::kReference) return fn(*this, at);
+    if (pos_ == nullptr) return fn(*base_, at);
+    const Positions& pos = *pos_;
+    return fn(*base_, [&](size_t k) -> size_t { return pos[at(k)]; });
+  }
 
-  // The lane-reading bodies of Gather, DecodeKeyLanes and DecodedSize over
-  // the n lanes at(0), at(1), ... of a chunk that is not a reference.
+  // The lane-reading bodies of Gather, DecodeKeyLanes, DecodedSize and
+  // SelectLanes over the lanes at(0), at(1), ... of a chunk that is not a
+  // reference.
   template <typename At>
   ColumnChunk GatherAt(size_t n, const At& at) const;
   template <typename At>
   void DecodeKeyLanesAt(size_t n, const At& at, KeyLane* out) const;
   template <typename At>
   size_t DecodedSizeAt(size_t n, const At& at) const;
+  template <typename Test, typename At>
+  bool SelectLanesAt(const Test& test, const At& at, Positions* sel) const;
 
   ColumnEncoding encoding_ = ColumnEncoding::kPlain;
   TypeId type_ = TypeId::kInt64;
@@ -182,5 +236,82 @@ class ColumnChunk {
   bool encoded_ = false;
   size_t encoded_size_ = 0;
 };
+
+template <typename Test>
+bool ColumnChunk::SelectLanes(const Test& test, Positions* sel) const {
+  return ReadLanes([sel](size_t k) -> size_t { return (*sel)[k]; },
+                   [&](const ColumnChunk& c, const auto& at) {
+                     return c.SelectLanesAt(test, at, sel);
+                   });
+}
+
+template <typename Test, typename At>
+bool ColumnChunk::SelectLanesAt(const Test& test, const At& at,
+                                Positions* sel) const {
+  constexpr bool kInts = std::is_invocable_r_v<bool, const Test&, int64_t>;
+  constexpr bool kDoubles = std::is_invocable_r_v<bool, const Test&, double>;
+  constexpr bool kStrings =
+      std::is_invocable_r_v<bool, const Test&, const std::string&>;
+  constexpr bool kDict =
+      std::is_invocable_r_v<std::vector<uint8_t>, const Test&,
+                            const std::vector<std::string>&>;
+  const uint8_t* nulls = nulls_.empty() ? nullptr : nulls_.data();
+  // Without branches: every lane is tested (a NULL lane's payload is still
+  // readable, and its dictionary code is 0 of a non-empty dictionary) and
+  // written back at `kept`, which never overtakes k.
+  auto narrow = [&](const auto& pass) {
+    uint32_t* lanes = sel->data();
+    const size_t n = sel->size();
+    size_t kept = 0;
+    for (size_t k = 0; k < n; ++k) {
+      const size_t i = at(k);
+      const bool keep = pass(i) & (nulls == nullptr || nulls[i] == 0);
+      lanes[kept] = lanes[k];
+      kept += keep ? 1 : 0;
+    }
+    sel->resize(kept);
+    return true;
+  };
+  switch (encoding_) {
+    case ColumnEncoding::kPlain:
+      if (type_ == TypeId::kDouble) {
+        if constexpr (kDoubles) {
+          return narrow([&](size_t i) { return test(f64_[i]); });
+        }
+      } else if (type_ == TypeId::kString) {
+        if constexpr (kStrings) {
+          return narrow([&](size_t i) { return test(strs_[i]); });
+        }
+      } else if constexpr (kInts) {
+        return narrow([&](size_t i) { return test(i64_[i]); });
+      }
+      return false;
+    case ColumnEncoding::kFor:
+      if constexpr (kInts) {
+        const uint64_t ref = static_cast<uint64_t>(for_ref_);
+        return narrow([&](size_t i) {
+          return test(static_cast<int64_t>(ref + codes_[i]));
+        });
+      }
+      return false;
+    case ColumnEncoding::kRle:
+      if constexpr (kInts) {
+        RunCursor cursor(run_starts_);
+        return narrow(
+            [&](size_t i) { return test(run_values_[cursor.Seek(i)]); });
+      }
+      return false;
+    case ColumnEncoding::kDictionary:
+      if constexpr (kDict) {
+        const std::vector<uint8_t> verdicts = test(*dict_);
+        return narrow([&](size_t i) { return verdicts[codes_[i]] != 0; });
+      }
+      return false;
+    case ColumnEncoding::kBoxed:
+    case ColumnEncoding::kReference:
+      return false;
+  }
+  return false;
+}
 
 }  // namespace xdb

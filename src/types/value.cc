@@ -90,8 +90,7 @@ int Value::Compare(const Value& other) const {
     if (type_ != TypeId::kDouble && other.type_ != TypeId::kDouble) {
       return i64_ < other.i64_ ? -1 : (i64_ == other.i64_ ? 0 : 1);
     }
-    double a = AsDouble(), b = other.AsDouble();
-    return a < b ? -1 : (a == b ? 0 : 1);
+    return CompareDoubles(AsDouble(), other.AsDouble());
   }
   // Mixed string/numeric: deterministic order by type tag.
   return static_cast<int>(type_) < static_cast<int>(other.type_) ? -1 : 1;
@@ -145,19 +144,6 @@ KeyLane DoubleKeyLane(double d) {
 
 KeyLane StringKeyLane(const std::string& s) {
   return {KeyClass::kString, std::hash<std::string>()(s)};
-}
-
-uint64_t HashKeyLane(const KeyLane& lane) {
-  // MurmurHash3's 64-bit finalizer: invertible, so the hash is a bijection
-  // of the payload within one class.
-  uint64_t k = lane.payload +
-               static_cast<uint64_t>(lane.cls) * 0x9e3779b97f4a7c15ULL;
-  k ^= k >> 33;
-  k *= 0xff51afd7ed558ccdULL;
-  k ^= k >> 33;
-  k *= 0xc4ceb9fe1a85ec53ULL;
-  k ^= k >> 33;
-  return k;
 }
 
 namespace {

@@ -59,7 +59,26 @@ KeyLane StringKeyLane(const std::string& s);
 
 /// Hash of a lane's class and payload; a bijection of the payload within
 /// one class, so distinct ints (or doubles) never collide.
-uint64_t HashKeyLane(const KeyLane& lane);
+inline uint64_t HashKeyLane(const KeyLane& lane) {
+  // MurmurHash3's 64-bit finalizer: invertible, so the hash is a bijection
+  // of the payload within one class.
+  uint64_t k = lane.payload +
+               static_cast<uint64_t>(lane.cls) * 0x9e3779b97f4a7c15ULL;
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdULL;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ULL;
+  k ^= k >> 33;
+  return k;
+}
+
+/// Three-way compare of two doubles: -1, 0 or 1. A NaN on either side
+/// compares as 1 (it is neither less than nor equal to anything), so the
+/// order is not antisymmetric there. Value::Compare and every batch kernel
+/// compare doubles through it.
+inline int CompareDoubles(double a, double b) {
+  return a < b ? -1 : (a == b ? 0 : 1);
+}
 
 /// Appends the normalized-key bytes of one lane to `out`: NULL `\1`, the
 /// int class `i` + payload, other doubles `d` + bits, strings `s` + length

@@ -352,6 +352,85 @@ TEST(ExecutorJoinKeys, BothSidesCrossMorselBoundaries) {
                {{TypeId::kString, ColumnEncoding::kPlain}}, 401, 4300, 4100);
 }
 
+/// The join hash of a one-column int key: the first column's hash enters
+/// the row hash unchanged.
+uint64_t IntKeyHash(int64_t v) {
+  return HashKeyLane({KeyClass::kInt, static_cast<uint64_t>(v)});
+}
+
+TEST(ExecutorJoinKeys, BucketTagsRejectOnlyNonMatches) {
+  // A build of 64 non-NULL rows has 64 buckets, and a row's bucket is the
+  // low six bits of its hash. Bucket 0 gets 16 keys with 16 different tag
+  // bits, so its tag has every bit set; this is possible only because the
+  // tag bit comes from hash bits that the bucket index does not use.
+  constexpr size_t kBuild = 64;
+  constexpr uint64_t kMask = kBuild - 1;
+  std::vector<int64_t> build;
+  uint16_t full = 0;
+  for (int64_t v = 0; v < 1000000 && full != 0xffff; ++v) {
+    const uint64_t h = IntKeyHash(v);
+    if ((h & kMask) == 0 && (full & JoinTagBit(h)) == 0) {
+      full |= JoinTagBit(h);
+      build.push_back(v);
+    }
+  }
+  ASSERT_EQ(full, 0xffff) << "no bucket holds every tag bit";
+  for (int64_t v = -1; build.size() < kBuild; --v) {
+    if ((IntKeyHash(v) & kMask) != 0) build.push_back(v);
+  }
+  std::vector<uint16_t> tags(kBuild, 0);
+  for (int64_t v : build) {
+    tags[IntKeyHash(v) & kMask] |= JoinTagBit(IntKeyHash(v));
+  }
+
+  // Keys no build row holds: `rejected` land in non-empty buckets whose tag
+  // lacks their bit; `unmatched` land in the full bucket and get walked.
+  std::vector<int64_t> rejected, unmatched;
+  for (int64_t v = 1000000;
+       v < 3000000 && (rejected.size() < 40 || unmatched.size() < 40); ++v) {
+    const uint64_t h = IntKeyHash(v);
+    const uint16_t tag = tags[h & kMask];
+    if (tag != 0 && (tag & JoinTagBit(h)) == 0 && rejected.size() < 40) {
+      rejected.push_back(v);
+    } else if ((h & kMask) == 0 && unmatched.size() < 40) {
+      unmatched.push_back(v);
+    }
+  }
+  ASSERT_EQ(rejected.size(), 40u) << "no probe key is rejected by a tag";
+  ASSERT_EQ(unmatched.size(), 40u);
+
+  // The probe side spans two morsels: build keys (some twice), both kinds
+  // of key that matches nothing, and NULLs.
+  std::mt19937 rng(500);
+  std::vector<Value> probe;
+  for (size_t i = 0; i < 4200; ++i) {
+    switch (rng() % 5) {
+      case 0: probe.push_back(Value::Int64(rejected[rng() % 40])); break;
+      case 1: probe.push_back(Value::Int64(unmatched[rng() % 40])); break;
+      case 2: probe.push_back(Value::Null(TypeId::kInt64)); break;
+      default: probe.push_back(Value::Int64(build[rng() % kBuild])); break;
+    }
+  }
+  std::vector<Value> build_lanes;
+  for (int64_t v : build) build_lanes.push_back(Value::Int64(v));
+  const auto side = [](std::vector<Value> lanes) {
+    const size_t n = lanes.size();
+    std::vector<ColumnChunk> cols;
+    cols.push_back(ColumnChunk::FromValues(TypeId::kInt64, std::move(lanes)));
+    return WithIds({{"k", TypeId::kInt64}}, std::move(cols), n);
+  };
+  const TablePtr big = side(std::move(probe));
+  const TablePtr small = side(std::move(build_lanes));
+  for (const auto& [l, r] : {std::pair{big, small}, std::pair{small, big}}) {
+    const Pairs expected = NestedLoopPairs(*l, *r, 1);
+    EXPECT_FALSE(expected.empty());
+    for (int threads : {1, 4}) {
+      EXPECT_EQ(JoinPairs(l, r, 1, threads), expected)
+          << "exec_threads=" << threads;
+    }
+  }
+}
+
 TEST(ExecutorJoinKeys, NonFiniteDoubleKeysGroupAndJoin) {
   // NaN, ±inf and ±1e300 lanes reach the key encoders through group keys
   // and join keys; converting them to int64 would be undefined behaviour

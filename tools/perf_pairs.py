@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of the wall-clock benchmark, with verdicts.
 
     python3 tools/perf_pairs.py --parent <git ref> --workload <name> \\
-        [--pairs 10] [--seed 7] [--record]
+        [--pairs 10] [--seed 7 [--seed 11 ...]] [--record]
     python3 tools/perf_pairs.py --self-test
 
 Run from anywhere inside the repository. The change is the working tree this
@@ -33,11 +33,18 @@ The failed share of answers is reported per side, and every run that exited
 non-zero or printed `"correct": false` is listed. Exit status: 0 when every
 run completed and answered correctly (whatever the verdicts), 1 otherwise.
 
+--seed may be given more than once: the pairs then run at each seed in turn,
+each seed gets its own report, and a combined line per metric follows. The
+combined verdicts are a gain only when every seed gains, WORSE when any seed
+is WORSE, and otherwise unresolved when any seed is unresolved: one seed's
+verdict can flip between runs, and the combined one asks all to agree.
+
 --record appends the run to bench/baseline/BENCH_wall.json, the committed
-wall-clock trajectory: the workload, seed, pair count, the parent commit and
-the working tree's HEAD commit (`change_dirty` when the tree had uncommitted
-changes, so the record describes the change on top of that commit), and per
-end-to-end metric both medians, the ratio, the wins and both verdicts.
+wall-clock trajectory, one record per seed: the workload, seed, pair count,
+the parent commit and the working tree's HEAD commit (`change_dirty` when the
+tree had uncommitted changes, so the record describes the change on top of
+that commit), and per end-to-end metric both medians, the ratio, the wins and
+both verdicts.
 """
 
 import argparse
@@ -148,6 +155,31 @@ def report(rows, pairs, bad_runs, out=sys.stdout):
         out.write("BAD RUN %s\n" % label)
 
 
+def combine(per_seed):
+    """Verdicts across seeds; `per_seed` holds one analyze() result per seed.
+    A gain needs every seed to gain; the bound verdict is the worst of the
+    seeds' (WORSE, then unresolved, then ok)."""
+    combined = []
+    for rows in zip(*per_seed):
+        bounds = [r["bound"] for r in rows]
+        bound = next((b for b in ("WORSE", "unresolved") if b in bounds), "ok")
+        combined.append({"name": rows[0]["name"],
+                         "gain": all(r["gain"] for r in rows),
+                         "bound": bound,
+                         "wins": ["%d/%d" % (r["wins"], r["pairs"])
+                                  for r in rows]})
+    return combined
+
+
+def report_combined(seeds, combined, out=sys.stdout):
+    out.write("combined over seeds %s:\n" % ", ".join(map(str, seeds)))
+    fmt = "{:<18} {:>24} {:>5}  {}"
+    out.write(fmt.format("metric", "wins per seed", "gain", "bound") + "\n")
+    for c in combined:
+        out.write(fmt.format(c["name"], " ".join(c["wins"]),
+                             "yes" if c["gain"] else "no", c["bound"]) + "\n")
+
+
 def make_record(workload, seed, commits, rows, pairs, bad_runs):
     """One BENCH_wall.json record; `commits` is (parent, change, dirty)."""
     parent, change, dirty = commits
@@ -229,6 +261,26 @@ def load_benchmark():
         return json.load(f)
 
 
+def run_seed(args, seed, sides, seconds):
+    """The alternating pairs at one seed: (pairs, bad run labels)."""
+    pairs = []
+    bad_runs = []
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        got = {}
+        for side in order:
+            root, build_root = sides[side]
+            got[side], exit_code = run_once(root, build_root, args.workload,
+                                            seed, seconds)
+            label = "seed %d pair %d %s" % (seed, i + 1, side)
+            print("%s: %s" % (label, json.dumps(got[side])), flush=True)
+            if not run_ok(got[side], exit_code):
+                bad_runs.append("%s: exit %d, correct %s" % (
+                    label, exit_code, json.dumps(got[side]["correct"])))
+        pairs.append((got["parent"], got["change"]))
+    return pairs, bad_runs
+
+
 def run_pairs(args):
     bench = load_benchmark()
     seconds = bench["run_seconds"]
@@ -239,33 +291,29 @@ def run_pairs(args):
         "parent": (parent_root, os.path.join(work, "build-" + sha)),
         "change": (ROOT, os.path.join(work, "build-change")),
     }
-    print("workload %s: %d pairs, seed %d, %g s runs; parent %s (%s) vs the "
-          "working tree" % (args.workload, args.pairs, args.seed, seconds,
-                            args.parent, sha[:12]), flush=True)
-    pairs = []
-    bad_runs = []
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {}
-        for side in order:
-            root, build_root = sides[side]
-            got[side], exit_code = run_once(root, build_root, args.workload,
-                                            args.seed, seconds)
-            label = "pair %d %s" % (i + 1, side)
-            print("%s: %s" % (label, json.dumps(got[side])), flush=True)
-            if not run_ok(got[side], exit_code):
-                bad_runs.append("%s: exit %d, correct %s" % (
-                    label, exit_code, json.dumps(got[side]["correct"])))
-        pairs.append((got["parent"], got["change"]))
-    rows = analyze(pairs, bench["end_to_end"])
-    report(rows, pairs, bad_runs)
-    if args.record:
-        change, dirty = change_commit()
-        append_record(WALL_JSON, make_record(args.workload, args.seed,
-                                             (sha, change, dirty), rows,
-                                             pairs, bad_runs))
-        print("recorded in %s" % os.path.relpath(WALL_JSON, ROOT))
-    return 1 if bad_runs else 0
+    seeds = args.seed or [7]
+    print("workload %s: %d pairs at seed %s, %g s runs; parent %s (%s) vs "
+          "the working tree" % (args.workload, args.pairs,
+                                ", ".join(map(str, seeds)), seconds,
+                                args.parent, sha[:12]), flush=True)
+    per_seed = []
+    any_bad = False
+    for seed in seeds:
+        pairs, bad_runs = run_seed(args, seed, sides, seconds)
+        rows = analyze(pairs, bench["end_to_end"])
+        print("seed %d:" % seed)
+        report(rows, pairs, bad_runs)
+        per_seed.append(rows)
+        any_bad = any_bad or bool(bad_runs)
+        if args.record:
+            change, dirty = change_commit()
+            append_record(WALL_JSON, make_record(args.workload, seed,
+                                                 (sha, change, dirty), rows,
+                                                 pairs, bad_runs))
+            print("recorded in %s" % os.path.relpath(WALL_JSON, ROOT))
+    if len(seeds) > 1:
+        report_combined(seeds, combine(per_seed))
+    return 1 if any_bad else 0
 
 
 def canned(metrics, failed=0):
@@ -352,6 +400,33 @@ def self_test():
         with open(path) as f:
             doc = json.load(f)
     assert doc == {"bench": "wall", "records": [record, record]}, doc
+
+    # Across seeds: one seed that gains and one that does not make no gain;
+    # one seed that is WORSE, or unresolved, decides the combined bound.
+    def combined(*seed_pairs):
+        return {c["name"]: c for c in
+                combine([analyze(p, spec) for p in seed_pairs])}
+
+    other_seed = []
+    for pr, ch in pairs:
+        tight = pr["metrics"]["close"]
+        other_seed.append((
+            dict(pr, metrics=dict(pr["metrics"], noisy=tight)),
+            dict(ch, metrics=dict(ch["metrics"], cpu=pr["metrics"]["cpu"],
+                                  noisy=tight,
+                                  same={"value": 70.0, "unit": ""}))))
+    alone = {r["name"]: r for r in analyze(other_seed, spec)}
+    assert (alone["cpu"]["gain"], alone["noisy"]["bound"],
+            alone["same"]["bound"]) == (False, "ok", "WORSE"), alone
+    mixed = combined(pairs, other_seed)
+    assert not mixed["cpu"]["gain"], mixed["cpu"]
+    assert mixed["cpu"]["wins"] == ["10/10", "0/10"], mixed["cpu"]
+    assert mixed["qps"]["gain"] and mixed["qps"]["bound"] == "ok"
+    assert mixed["noisy"]["bound"] == "unresolved", mixed["noisy"]
+    assert mixed["same"]["bound"] == "WORSE", mixed["same"]
+    both = combined(pairs, pairs)
+    assert [n for n, c in both.items() if c["gain"]] == ["cpu", "qps"], both
+    report_combined([7, 11], list(mixed.values()))
     print("self-test passed")
     return 0
 
@@ -361,7 +436,9 @@ def main():
     parser.add_argument("--parent", help="git ref of the parent commit")
     parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="perfbench seed (default 7); repeat to run the "
+                        "pairs at each seed")
     parser.add_argument("--self-test", action="store_true",
                         help="check the verdicts on canned result lines")
     parser.add_argument("--record", action="store_true",

@@ -6,6 +6,17 @@
 
 namespace xdb {
 
+/// \brief 'A'-'Z' to 'a'-'z' and every other byte as it is: std::tolower in
+/// the "C" locale (the program never calls setlocale), without the call.
+inline char AsciiLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+/// \brief 'a'-'z' to 'A'-'Z' and every other byte as it is.
+inline char AsciiUpper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
 /// \brief ASCII-lowercases a string (SQL identifiers are case-insensitive).
 std::string ToLower(std::string_view s);
 

@@ -296,7 +296,38 @@ Status CheckFunction(const Expr& e) {
                                 ToUpper(e.function_name));
 }
 
+/// The operands of AND, OR and NOT and the WHEN conditions of a CASE must
+/// be truth values.
+Status CheckBooleanOperands(const Expr& e) {
+  if (e.kind == ExprKind::kBinary &&
+      (e.binary_op == BinaryOp::kAnd || e.binary_op == BinaryOp::kOr)) {
+    const char* clause = e.binary_op == BinaryOp::kAnd ? "AND" : "OR";
+    for (const ExprPtr& c : e.children) {
+      XDB_RETURN_NOT_OK(CheckBoolean(c, clause));
+    }
+  } else if (e.kind == ExprKind::kUnary && e.unary_op == UnaryOp::kNot) {
+    return CheckBoolean(e.children[0], "NOT");
+  } else if (e.kind == ExprKind::kCaseWhen) {
+    const size_t pairs = (e.children.size() - (e.case_has_else ? 1 : 0)) / 2;
+    for (size_t i = 0; i < pairs; ++i) {
+      XDB_RETURN_NOT_OK(CheckBoolean(e.children[2 * i], "CASE/WHEN"));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+Status CheckBoolean(const ExprPtr& expr, std::string_view clause) {
+  if (expr->kind == ExprKind::kLiteral && expr->literal.is_null()) {
+    return Status::OK();
+  }
+  const TypeId type = InferType(expr);
+  if (type == TypeId::kBool) return Status::OK();
+  return Status::BindError("argument of " + std::string(clause) +
+                           " must be type bool, not type " +
+                           TypeIdToString(type) + ": " + expr->ToSql());
+}
 
 Result<ExprPtr> BindExpr(const ExprPtr& expr, const Schema& schema,
                          const std::vector<std::string>* qualifiers) {
@@ -340,7 +371,7 @@ Result<ExprPtr> BindExpr(const ExprPtr& expr, const Schema& schema,
       }
       for (auto& c : e->children) XDB_RETURN_NOT_OK(Bind(c.get()));
       if (e->kind == ExprKind::kFunction) return CheckFunction(*e);
-      return Status::OK();
+      return CheckBooleanOperands(*e);
     }
   };
 

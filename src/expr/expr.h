@@ -3,6 +3,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -121,6 +122,12 @@ Result<ExprPtr> BindExpr(const ExprPtr& expr, const Schema& schema,
 
 /// \brief Static result type of a bound expression.
 TypeId InferType(const ExprPtr& expr);
+
+/// \brief OK when bound `expr` may stand where SQL needs a truth value: it
+/// infers kBool or is a NULL literal. Otherwise a BindError naming `clause`
+/// (WHERE, HAVING, AND, OR, NOT, CASE/WHEN) and the type. BindExpr applies
+/// it to the operands of AND, OR and NOT and to every WHEN condition.
+Status CheckBoolean(const ExprPtr& expr, std::string_view clause);
 
 /// \brief Evaluates a bound, aggregate-free expression against a row.
 Value EvalExpr(const Expr& expr, const Row& row);

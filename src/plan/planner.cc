@@ -195,6 +195,7 @@ Result<BoundSelect> BindSelect(const sql::SelectStmt& stmt,
   if (stmt.where) {
     XDB_ASSIGN_OR_RETURN(
         q.where, BindExpr(stmt.where, q.combined, &q.combined_quals));
+    XDB_RETURN_NOT_OK(CheckBoolean(q.where, "WHERE"));
   }
   if (stmt.select_star) {
     for (size_t i = 0; i < q.combined.num_fields(); ++i) {
@@ -240,6 +241,7 @@ Result<BoundSelect> BindSelect(const sql::SelectStmt& stmt,
       XDB_ASSIGN_OR_RETURN(
           q.having, BindExpr(stmt.having, q.combined, &q.combined_quals));
     }
+    XDB_RETURN_NOT_OK(CheckBoolean(q.having, "HAVING"));
   }
 
   q.has_aggregates = !q.group_keys.empty();

@@ -150,6 +150,9 @@ class ColumnChunk {
   const std::vector<std::string>& str_data() const { return strs_; }
   const std::vector<std::string>& dict() const { return *dict_; }
   const std::vector<uint32_t>& codes() const { return codes_; }
+  /// One byte per lane, 1 = NULL; empty when no lane is NULL. Valid for
+  /// every encoding but boxed and reference.
+  const std::vector<uint8_t>& null_map() const { return nulls_; }
 
  private:
   /// Decodes dictionary, RLE, FOR and reference lanes back to plain (in

@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "src/common/str_util.h"
+
 namespace xdb {
 
 std::string NormalizeSql(const std::string& sql) {
@@ -28,8 +30,7 @@ std::string NormalizeSql(const std::string& sql) {
     }
     if (pending_space && !out.empty()) out.push_back(' ');
     pending_space = false;
-    out.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    out.push_back(AsciiLower(c));
   }
   while (!out.empty() && (out.back() == ';' || out.back() == ' ')) {
     out.pop_back();

@@ -2,6 +2,8 @@
 
 #include <array>
 #include <atomic>
+#include <cctype>
+#include <string>
 #include <vector>
 
 #include "src/common/result.h"
@@ -9,6 +11,7 @@
 #include "src/common/str_util.h"
 #include "src/common/thread_pool.h"
 #include "src/types/table.h"
+#include "src/xdb/plan_cache.h"
 
 namespace xdb {
 namespace {
@@ -77,6 +80,30 @@ TEST(StrUtilTest, CaseHelpers) {
   EXPECT_EQ(ToUpper("MiXeD_09"), "MIXED_09");
   EXPECT_TRUE(EqualsIgnoreCase("Hello", "hELLO"));
   EXPECT_FALSE(EqualsIgnoreCase("Hello", "Hell"));
+}
+
+TEST(StrUtilTest, CaseFoldingMatchesTheCLocaleOnEveryByte) {
+  // The program never calls setlocale, so std::tolower and std::toupper
+  // run in the "C" locale; the inline folds must agree on all 256 bytes.
+  for (int b = 0; b < 256; ++b) {
+    SCOPED_TRACE("byte " + std::to_string(b));
+    const char c = static_cast<char>(b);
+    const char lower = static_cast<char>(std::tolower(b));
+    const char upper = static_cast<char>(std::toupper(b));
+    EXPECT_EQ(AsciiLower(c), lower);
+    EXPECT_EQ(AsciiUpper(c), upper);
+    EXPECT_EQ(ToLower(std::string(1, c)), std::string(1, lower));
+    EXPECT_EQ(ToUpper(std::string(1, c)), std::string(1, upper));
+    for (int other = 0; other < 256; ++other) {
+      const char d = static_cast<char>(other);
+      EXPECT_EQ(EqualsIgnoreCase(std::string(1, c), std::string(1, d)),
+                std::tolower(b) == std::tolower(other));
+    }
+    // NormalizeSql folds each byte outside a string literal the same way.
+    if (!std::isspace(b) && c != '\'' && c != ';') {
+      EXPECT_EQ(NormalizeSql(std::string("X") + c), std::string("x") + lower);
+    }
+  }
 }
 
 TEST(StrUtilTest, SplitJoinTrim) {
